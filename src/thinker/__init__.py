@@ -7,7 +7,6 @@ from .backend import (
     GenerationRequest,
     GenerationResult,
     HttpBackend,
-    MockBackend,
     PolicyParams,
     ScriptedPolicyBackend,
 )
@@ -39,7 +38,6 @@ from .task import (
     Transcript,
     advance,
     begin_episode,
-    final_answer,
     render_prompt,
 )
 from .evaluation import BenchmarkReport, ReflectionVocab, count_reflections, evaluate, standard_error

@@ -1,8 +1,7 @@
 """Text-generation backends behind one interface.
 
-Three implementations share the generate/score contract:
+Two implementations share the generate/score contract:
 
-* MockBackend replays fixture text keyed on (stage, item id), for tests.
 * ScriptedPolicyBackend samples parametric responses (correct with tunable
   probabilities) so the task's dynamics can be simulated without a model.
 * HttpBackend speaks chat-completions JSON to any inference server.
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import requests
 
-from .errors import BackendError, LogprobUnsupportedError, MockFixtureError
+from .errors import BackendError, LogprobUnsupportedError
 from .grading import answers_equal, extract_boxed, parse_numeric
 from .task import Stage
 
@@ -57,7 +56,7 @@ class GenerationRequest:
     """One generation call: full dialogue, budget, temperature, seed.
 
     stage/item_id/reference_answer are bookkeeping for the in-process
-    backends (mock keying, scripted simulation); they never reach the wire.
+    backends (scripted simulation, test doubles); they never reach the wire.
     """
 
     messages: tuple[dict, ...]
@@ -98,7 +97,6 @@ class Backend:
     """Interface: concurrent-safe generate(), optional completion scoring."""
 
     name = "backend"
-    supports_scoring = False
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         raise NotImplementedError
@@ -107,44 +105,6 @@ class Backend:
         """Sum of token log-probabilities of the completion under the given
         prompt; <= 0. Raises LogprobUnsupportedError when unavailable."""
         raise LogprobUnsupportedError(f"{self.name} backend cannot score completions")
-
-
-class MockBackend(Backend):
-    """Fixture-driven backend for deterministic tests.
-
-    fixtures maps (stage, item_id) to verbatim response text; scoring
-    returns one configured value (0.0 for empty completions). Every generate
-    call is appended to .calls for assertions.
-    """
-
-    name = "mock"
-    supports_scoring = True
-
-    def __init__(self, fixtures: dict[tuple[Stage, str], str],
-                 logprob_value: float = -100.0):
-        self.fixtures = dict(fixtures)
-        self.logprob_value = logprob_value
-        self.calls: list[GenerationRequest] = []
-        self._lock = threading.Lock()
-
-    def generate(self, request: GenerationRequest) -> GenerationResult:
-        with self._lock:
-            self.calls.append(request)
-        key = (request.stage, request.item_id)
-        try:
-            text = self.fixtures[key]
-        except KeyError:
-            stage_key = request.stage.key if request.stage else None
-            raise MockFixtureError(
-                f"no fixture for stage={stage_key!r} item={request.item_id!r}"
-            ) from None
-        text, tokens, finish = truncate_to_budget(text, request.max_tokens)
-        return GenerationResult(text=text, token_count=tokens, finish_reason=finish)
-
-    def score_logprob(self, prompt_messages, completion_text: str) -> float:
-        if not completion_text:
-            return 0.0
-        return self.logprob_value
 
 
 @dataclass(frozen=True)
@@ -252,7 +212,6 @@ class ScriptedPolicyBackend(Backend):
     """Parametric simulated agent; pure function of the request (incl. seed)."""
 
     name = "scripted"
-    supports_scoring = True
 
     def __init__(self, params: PolicyParams | None = None):
         self.params = params or PolicyParams()
@@ -292,8 +251,15 @@ class ScriptedPolicyBackend(Backend):
         return self.params.logprob_per_token * count_tokens(completion_text)
 
 
+BACKEND_KINDS = ("scripted", "http")
+
+
 @dataclass(frozen=True)
-class HttpBackendSettings:
+class BackendConfig:
+    """Which backend to build, the HTTP client's settings, and the scripted
+    policy's parameters (the config file's flat ``backend`` section)."""
+
+    kind: str = "scripted"
     base_url: str = "http://localhost:8000/v1"
     model: str = "default"
     timeout_s: float = 60.0
@@ -301,6 +267,19 @@ class HttpBackendSettings:
     api_key_env: str = "THINKER_API_KEY"
     max_attempts: int = 3
     backoff_s: float = 0.5
+    policy: PolicyParams = field(default_factory=PolicyParams)
+
+    def __post_init__(self) -> None:
+        if self.kind not in BACKEND_KINDS:
+            raise ValueError(f"backend kind must be one of {BACKEND_KINDS}")
+        if self.timeout_s <= 0:
+            raise ValueError("backend.timeout_s must be positive")
+        if self.max_in_flight < 1:
+            raise ValueError("backend.max_in_flight must be >= 1")
+        if self.max_attempts < 1:
+            raise ValueError("backend.max_attempts must be >= 1")
+        if self.backoff_s < 0:
+            raise ValueError("backend.backoff_s must be >= 0")
 
 
 class HttpBackend(Backend):
@@ -316,10 +295,9 @@ class HttpBackend(Backend):
     """
 
     name = "http"
-    supports_scoring = False
 
-    def __init__(self, settings: HttpBackendSettings | None = None, tokenizer=count_tokens):
-        self.settings = settings or HttpBackendSettings()
+    def __init__(self, settings: BackendConfig | None = None, tokenizer=count_tokens):
+        self.settings = settings or BackendConfig(kind="http")
         self.tokenizer = tokenizer
         self._gate = threading.Semaphore(self.settings.max_in_flight)
         self._session = requests.Session()

@@ -9,7 +9,6 @@ Carlo), gen-data (synthetic dataset). Exit codes: 0 ok, 2 usage, 3 config,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -120,6 +119,32 @@ def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str,
 # ---------------------------------------------------------------------------
 # argument parsing
 
+# Shorthand flags and the config keys they override; they apply after every
+# --set, so a flag wins over both the file and --set.
+_FLAG_KEYS = {
+    "p_fast": "backend.policy.p_fast",
+    "t_p": "backend.policy.t_p",
+    "t_n": "backend.policy.t_n",
+    "p_slow": "backend.policy.p_slow",
+    "backend": "backend.kind",
+}
+
+
+def _flag_overrides(args) -> list[str]:
+    return [f"{key}={getattr(args, dest)}" for dest, key in _FLAG_KEYS.items()
+            if getattr(args, dest, None) is not None]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _add_policy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p-fast", type=float, help="chance the fast stage answers correctly")
     sub.add_argument("--t-p", type=float, help="P(boxed Yes | fast answer correct)")
@@ -159,9 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     rollout = commands.add_parser("rollout", help="run a batch and write transcripts + returns")
     rollout.add_argument("--dataset", required=True)
     rollout.add_argument("--mode", choices=["training", "inference"], default="training")
-    rollout.add_argument("--batch-size", type=int, help="prompts per batch (default from config)")
-    rollout.add_argument("--samples-per-prompt", type=int, help="default from config")
-    rollout.add_argument("--parallelism", type=int, help="default from config")
+    rollout.add_argument("--batch-size", type=_positive_int,
+                         help="prompts per batch (default from config)")
+    rollout.add_argument("--samples-per-prompt", type=_positive_int, help="default from config")
+    rollout.add_argument("--parallelism", type=_positive_int, help="default from config")
     rollout.add_argument("--seed", type=int, default=0)
     rollout.add_argument("--out", default="transcripts.jsonl")
     _add_policy_flags(rollout)
@@ -170,14 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--dataset", required=True)
     ev.add_argument("--mode", choices=["thinker", "thinker-fast", "single-turn"],
                     help="default: every mode in eval.modes")
-    ev.add_argument("--k", type=int, help="samples per question (default from config)")
-    ev.add_argument("--parallelism", type=int, help="default from config")
+    ev.add_argument("--k", type=_positive_int, help="samples per question (default from config)")
+    ev.add_argument("--parallelism", type=_positive_int, help="default from config")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", default="eval_report.json")
     _add_policy_flags(ev)
 
     sim = commands.add_parser("simulate", help="analytic vs Monte Carlo task dynamics")
-    sim.add_argument("--episodes", type=int, default=10000)
+    sim.add_argument("--episodes", type=_positive_int, default=10000)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--sweep", metavar="NAME=START:STOP:STEP",
                      help="sweep one policy parameter, e.g. p_fast=0:1:0.1")
@@ -185,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(sim)
 
     gen = commands.add_parser("gen-data", help="generate a synthetic arithmetic dataset")
-    gen.add_argument("--n", type=int, default=100)
+    gen.add_argument("--n", type=_positive_int, default=100)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--min-operands", type=int, default=3)
     gen.add_argument("--max-operands", type=int, default=6)
@@ -193,20 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     return parser
-
-
-def _apply_policy_flags(cfg: EngineConfig, args) -> EngineConfig:
-    updates = {}
-    for flag, name in (("p_fast", "p_fast"), ("t_p", "t_p"), ("t_n", "t_n"), ("p_slow", "p_slow")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            updates[name] = value
-    if getattr(args, "backend", None):
-        cfg = dataclasses.replace(cfg, backend=dataclasses.replace(cfg.backend, kind=args.backend))
-    if updates:
-        policy = dataclasses.replace(cfg.backend.policy, **updates)
-        cfg = dataclasses.replace(cfg, backend=dataclasses.replace(cfg.backend, policy=policy))
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +287,6 @@ def _render_transcript(transcript: Transcript, cfg_hash: str) -> str:
 
 
 def _cmd_episode(args, cfg: EngineConfig) -> int:
-    cfg = _apply_policy_flags(cfg, args)
     item = _pick_item(args)
     backend = build_backend(cfg)
     transcript = run_episode(
@@ -292,11 +303,11 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_rollout(args, cfg: EngineConfig) -> int:
-    cfg = _apply_policy_flags(cfg, args)
     dataset = load_dataset(args.dataset)
-    batch_size = args.batch_size or cfg.rollout.batch_size
-    samples = args.samples_per_prompt or cfg.rollout.samples_per_prompt
-    parallelism = args.parallelism or cfg.rollout.parallelism
+    batch_size = args.batch_size if args.batch_size is not None else cfg.rollout.batch_size
+    samples = (args.samples_per_prompt if args.samples_per_prompt is not None
+               else cfg.rollout.samples_per_prompt)
+    parallelism = args.parallelism if args.parallelism is not None else cfg.rollout.parallelism
     items = sample_batch(dataset, batch_size, args.seed)
     backend = build_backend(cfg)
     batch = run_batch(
@@ -323,7 +334,6 @@ def _batch_summary(batch: RolloutBatch, out_path: str) -> str:
 
 
 def _cmd_eval(args, cfg: EngineConfig) -> int:
-    cfg = _apply_policy_flags(cfg, args)
     dataset = load_dataset(args.dataset)
     backend = build_backend(cfg)
     if args.mode:
@@ -333,12 +343,12 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
     for mode in modes:
         report = evaluate(
             backend, dataset, mode,
-            k=args.k or cfg.eval.k,
+            k=args.k if args.k is not None else cfg.eval.k,
             budgets=cfg.budgets,
             seed=args.seed,
             reward_cfg=cfg.rewards,
             vocab=cfg.eval.reflection_vocab(),
-            parallelism=args.parallelism or cfg.rollout.parallelism,
+            parallelism=args.parallelism if args.parallelism is not None else cfg.rollout.parallelism,
             single_turn_tokens=cfg.eval.single_turn_tokens,
         )
         payload = report.to_dict()
@@ -371,7 +381,6 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
 
 
 def _cmd_simulate(args, cfg: EngineConfig) -> int:
-    cfg = _apply_policy_flags(cfg, args)
     params: PolicyParams = cfg.backend.policy
     cfg_hash = config_hash(cfg)
     if args.sweep:
@@ -427,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        cfg = load_config(args.config, args.overrides)
+        cfg = load_config(args.config, (args.overrides or []) + _flag_overrides(args))
         if args.print_config:
             print(yaml.safe_dump(config_to_dict(cfg), sort_keys=False).rstrip())
             print(f"# config_hash={config_hash(cfg)}")

@@ -1,6 +1,6 @@
 """Engine configuration: defaults, file loading, overrides, and hashing.
 
-Config files are YAML (JSON is valid YAML) mirroring the dataclass tree
+Config files are YAML (JSON is valid YAML) mirroring the EngineConfig tree
 below; CLI --set overrides use dotted paths and win over the file. Unknown
 keys are rejected by name, and every run embeds a hash of the effective
 config so outputs can be traced back to their exact settings.
@@ -17,56 +17,11 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .backend import (
-    Backend,
-    HttpBackend,
-    HttpBackendSettings,
-    MockBackend,
-    PolicyParams,
-    ScriptedPolicyBackend,
-)
+from .backend import Backend, BackendConfig, HttpBackend, ScriptedPolicyBackend
 from .errors import ConfigError
 from .evaluation import EVAL_MODES, ReflectionVocab
 from .rewards import RewardConfig
 from .task import StageBudgets
-
-BACKEND_KINDS = ("scripted", "http", "mock")
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    kind: str = "scripted"
-    base_url: str = "http://localhost:8000/v1"
-    model: str = "default"
-    timeout_s: float = 60.0
-    max_in_flight: int = 8
-    api_key_env: str = "THINKER_API_KEY"
-    max_attempts: int = 3
-    backoff_s: float = 0.5
-    policy: PolicyParams = field(default_factory=PolicyParams)
-
-    def __post_init__(self) -> None:
-        if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"backend kind must be one of {BACKEND_KINDS}")
-        if self.timeout_s <= 0:
-            raise ValueError("backend.timeout_s must be positive")
-        if self.max_in_flight < 1:
-            raise ValueError("backend.max_in_flight must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("backend.max_attempts must be >= 1")
-        if self.backoff_s < 0:
-            raise ValueError("backend.backoff_s must be >= 0")
-
-    def http_settings(self) -> HttpBackendSettings:
-        return HttpBackendSettings(
-            base_url=self.base_url,
-            model=self.model,
-            timeout_s=self.timeout_s,
-            max_in_flight=self.max_in_flight,
-            api_key_env=self.api_key_env,
-            max_attempts=self.max_attempts,
-            backoff_s=self.backoff_s,
-        )
 
 
 @dataclass(frozen=True)
@@ -241,12 +196,8 @@ def config_hash(cfg: EngineConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def build_backend(cfg: EngineConfig, mock_fixtures=None) -> Backend:
-    """Instantiate the configured backend (mock requires explicit fixtures)."""
-    if cfg.backend.kind == "scripted":
-        return ScriptedPolicyBackend(cfg.backend.policy)
+def build_backend(cfg: EngineConfig) -> Backend:
+    """Instantiate the configured backend."""
     if cfg.backend.kind == "http":
-        return HttpBackend(cfg.backend.http_settings())
-    if mock_fixtures is None:
-        raise ConfigError("mock backend needs fixtures; it is meant for tests")
-    return MockBackend(mock_fixtures)
+        return HttpBackend(cfg.backend)
+    return ScriptedPolicyBackend(cfg.backend.policy)

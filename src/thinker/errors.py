@@ -18,11 +18,7 @@ class ConfigError(ThinkerError):
 
 
 class BackendError(ThinkerError):
-    """Text-generation backend failure (transport, protocol, or fixture)."""
-
-
-class MockFixtureError(BackendError):
-    """Mock backend was asked for a (stage, item) it has no fixture for."""
+    """Text-generation backend failure (transport or protocol)."""
 
 
 class LogprobUnsupportedError(ThinkerError):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from statistics import fmean, variance
 
@@ -21,7 +20,7 @@ from .dataset import Dataset
 from .errors import BackendError
 from .grading import answers_equal, extract_boxed
 from .rewards import RewardConfig
-from .rollout import run_episode
+from .rollout import run_all, run_episode, stage_request
 from .task import Mode, Stage, StageBudgets, advance, begin_episode, render_single_turn_prompt
 
 logger = logging.getLogger("thinker.eval")
@@ -63,15 +62,6 @@ def standard_error(per_question_means: list[float]) -> float:
     if len(per_question_means) < 2:
         raise ValueError("standard error needs at least 2 questions")
     return (variance(per_question_means) / len(per_question_means)) ** 0.5
-
-
-@dataclass
-class _SampleOutcome:
-    correct: bool
-    stage_tokens: dict[str, int]
-    total_tokens: int
-    reflections: int
-    failed: bool = False
 
 
 @dataclass
@@ -128,66 +118,34 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _thinker_sample(backend, item, budgets, reward_cfg, episode_seed, vocab) -> _SampleOutcome:
-    transcript = run_episode(backend, item, Mode.INFERENCE, budgets,
-                             seed=episode_seed, reward_cfg=reward_cfg)
-    if transcript.failed:
-        return _SampleOutcome(False, {}, 0, 0, failed=True)
-    return _SampleOutcome(
-        correct=bool(transcript.correct),
-        stage_tokens={t.stage.key: t.token_count for t in transcript.turns},
-        total_tokens=transcript.total_tokens,
-        reflections=sum(count_reflections(t.response, vocab) for t in transcript.turns),
-    )
-
-
-def _fast_sample(backend, item, budgets, episode_seed, vocab) -> _SampleOutcome:
-    state = begin_episode(item, Mode.INFERENCE, budgets)
+def _sample(backend, item, mode, budgets, reward_cfg, single_turn_tokens, episode_seed):
+    """One sample: its correctness and (stage key, tokens, response) per
+    turn. A failed sample raises BackendError."""
+    if mode == THINKER:
+        transcript = run_episode(backend, item, Mode.INFERENCE, budgets,
+                                 seed=episode_seed, reward_cfg=reward_cfg)
+        if transcript.failed:
+            raise BackendError(transcript.error)
+        return transcript.correct, [(t.stage.key, t.token_count, t.response) for t in transcript.turns]
+    if mode == THINKER_FAST:
+        # the full episode's first request, so both modes share the fast seed
+        state = begin_episode(item, Mode.INFERENCE, budgets)
+        advance(state, backend.generate(stage_request(state, episode_seed)))
+        turn = state.turns[0]
+        correct = answers_equal(state.answers[Stage.FAST_THINKING], item.answer)
+        return correct, [(Stage.FAST_THINKING.key, turn.token_count, turn.response)]
     request = GenerationRequest(
-        messages=tuple(state.messages()),
-        max_tokens=budgets.fast_tokens,
-        temperature=budgets.temperature,
-        seed=derive_seed(episode_seed, Stage.FAST_THINKING.key),
-        stage=Stage.FAST_THINKING,
-        item_id=item.id,
-        reference_answer=item.answer,
-    )
-    try:
-        result = backend.generate(request)
-    except BackendError:
-        return _SampleOutcome(False, {}, 0, 0, failed=True)
-    advance(state, result)
-    answer = state.answers.get(Stage.FAST_THINKING)
-    return _SampleOutcome(
-        correct=answers_equal(answer, item.answer),
-        stage_tokens={Stage.FAST_THINKING.key: result.token_count},
-        total_tokens=result.token_count,
-        reflections=count_reflections(result.text, vocab),
-    )
-
-
-def _single_turn_sample(backend, item, budgets, single_turn_tokens, episode_seed, vocab) -> _SampleOutcome:
-    prompt = render_single_turn_prompt(item)
-    request = GenerationRequest(
-        messages=({"role": "user", "content": prompt},),
+        messages=({"role": "user", "content": render_single_turn_prompt(item)},),
         max_tokens=single_turn_tokens,
         temperature=budgets.temperature,
-        seed=derive_seed(episode_seed, "single_turn"),
+        seed=derive_seed(episode_seed, SINGLE_TURN),
         stage=None,
         item_id=item.id,
         reference_answer=item.answer,
     )
-    try:
-        result = backend.generate(request)
-    except BackendError:
-        return _SampleOutcome(False, {}, 0, 0, failed=True)
-    answer = extract_boxed(result.text)
-    return _SampleOutcome(
-        correct=answers_equal(answer, item.answer),
-        stage_tokens={"single_turn": result.token_count},
-        total_tokens=result.token_count,
-        reflections=count_reflections(result.text, vocab),
-    )
+    result = backend.generate(request)
+    correct = answers_equal(extract_boxed(result.text), item.answer)
+    return correct, [(SINGLE_TURN, result.token_count, result.text)]
 
 
 def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
@@ -211,50 +169,49 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     reward_cfg = reward_cfg or RewardConfig()
     vocab = vocab or ReflectionVocab()
 
-    def _one(spec) -> _SampleOutcome:
+    def _one(spec):
+        """(correct, [(stage key, tokens)], reflections), or None on failure."""
         item, j = spec
-        episode_seed = derive_seed(seed, item.id, j)
-        if mode == THINKER:
-            return _thinker_sample(backend, item, budgets, reward_cfg, episode_seed, vocab)
-        if mode == THINKER_FAST:
-            return _fast_sample(backend, item, budgets, episode_seed, vocab)
-        return _single_turn_sample(backend, item, budgets, single_turn_tokens, episode_seed, vocab)
+        try:
+            correct, turns = _sample(backend, item, mode, budgets, reward_cfg,
+                                     single_turn_tokens, derive_seed(seed, item.id, j))
+        except BackendError:
+            return None
+        reflections = sum(count_reflections(text, vocab) for _, _, text in turns)
+        return correct, [(key, tokens) for key, tokens, _ in turns], reflections
 
     specs = [(item, j) for item in dataset for j in range(k)]
-    if parallelism <= 1:
-        outcomes = [_one(spec) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(_one, specs))
-
-    by_question: dict[str, list[_SampleOutcome]] = {}
+    outcomes = run_all(_one, specs, parallelism)
+    by_question: dict[str, list] = {}
     for (item, _), outcome in zip(specs, outcomes):
         by_question.setdefault(item.id, []).append(outcome)
 
     per_question, p_hats, excluded = [], [], []
     failures = 0
-    usable: list[_SampleOutcome] = []
+    usable = []
     for item in dataset:
         samples = by_question[item.id]
-        good = [s for s in samples if not s.failed]
+        good = [s for s in samples if s is not None]
         failures += len(samples) - len(good)
         if not good:
             logger.warning("question %s: all %d samples failed; excluding", item.id, len(samples))
             excluded.append(item.id)
             continue
         usable.extend(good)
-        p_hat = fmean(1.0 if s.correct else 0.0 for s in good)
+        p_hat = fmean(1.0 if correct else 0.0 for correct, _, _ in good)
         p_hats.append(p_hat)
         per_question.append({"id": item.id, "accuracy": p_hat, "samples": len(good)})
 
     if not p_hats:
         raise BackendError("every question failed on all samples")
     stage_tokens: dict[str, list[int]] = {}
-    for s in usable:
-        for key, tokens in s.stage_tokens.items():
+    sample_tokens = []
+    for _, turns, _ in usable:
+        for key, tokens in turns:
             stage_tokens.setdefault(key, []).append(tokens)
-    total_tokens = sum(s.total_tokens for s in usable)
-    total_reflections = sum(s.reflections for s in usable)
+        sample_tokens.append(sum(tokens for _, tokens in turns))
+    total_tokens = sum(sample_tokens)
+    total_reflections = sum(reflections for _, _, reflections in usable)
     return BenchmarkReport(
         mode=mode,
         k=k,
@@ -263,8 +220,8 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         overall_accuracy=fmean(p_hats),
         stderr=standard_error(p_hats) if len(p_hats) >= 2 else None,
         mean_stage_tokens={key: fmean(v) for key, v in stage_tokens.items()},
-        mean_total_tokens=fmean(s.total_tokens for s in usable),
-        mean_reflections=fmean(s.reflections for s in usable),
+        mean_total_tokens=fmean(sample_tokens),
+        mean_reflections=fmean(reflections for _, _, reflections in usable),
         reflections_per_1000_tokens=(1000.0 * total_reflections / total_tokens) if total_tokens else 0.0,
         failures=failures,
         excluded_questions=excluded,

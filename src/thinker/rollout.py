@@ -28,20 +28,13 @@ from .rewards import (
     reward_verify,
     update_trailing,
 )
-from .task import (
-    EpisodeState,
-    Mode,
-    Stage,
-    StageBudgets,
-    Transcript,
-    advance,
-    begin_episode,
-    final_answer,
-)
+from .task import Mode, Stage, StageBudgets, Transcript, advance, begin_episode
 from .grading import answers_equal
 
 
-def _stage_request(state: EpisodeState, episode_seed: int) -> GenerationRequest:
+def stage_request(state: Transcript, episode_seed: int) -> GenerationRequest:
+    """The request for the episode's current stage: whole dialogue, the
+    stage's budget and temperature, and a seed derived from the stage."""
     stage = state.stage
     budgets = state.budgets
     return GenerationRequest(
@@ -55,9 +48,12 @@ def _stage_request(state: EpisodeState, episode_seed: int) -> GenerationRequest:
     )
 
 
-def fast_prompt_messages(transcript: Transcript) -> tuple[dict, ...]:
-    """The fast-thinking prompt alone, for scoring summaries against it."""
-    return ({"role": "user", "content": transcript.turns[0].prompt},)
+def run_all(fn, specs: list, parallelism: int) -> list:
+    """fn over specs in order, on up to *parallelism* threads (inline at 1)."""
+    if parallelism <= 1:
+        return [fn(spec) for spec in specs]
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        return list(pool.map(fn, specs))
 
 
 def run_episode(backend: Backend, item: QAItem, mode: Mode,
@@ -71,56 +67,43 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
     is ever fabricated. The verification reward is filled only when a
     trailing accuracy is supplied; batches defer it to their barrier.
     """
-    budgets = budgets or StageBudgets()
     reward_cfg = reward_cfg or RewardConfig()
-    state = begin_episode(item, mode, budgets)
-    transcript = Transcript(
-        episode_id=episode_id or f"{item.id}@{seed}",
-        mode=mode,
-        item=item,
-        seed=seed,
-        backend_id=backend.name,
-        turns=state.turns,
-        answers=state.answers,
-    )
+    transcript = begin_episode(item, mode, budgets, episode_id=episode_id or f"{item.id}@{seed}",
+                               seed=seed, backend_id=backend.name)
     try:
-        while not state.terminal:
-            result = backend.generate(_stage_request(state, seed))
-            advance(state, result)
+        while not transcript.terminal:
+            advance(transcript, backend.generate(stage_request(transcript, seed)))
     except BackendError as exc:
-        transcript.verdict = state.verdict
         transcript.failed = True
         transcript.error = str(exc)
         return transcript
 
-    transcript.verdict = state.verdict
-    transcript.final_stage = state.final_stage
-    transcript.final_answer = final_answer(state)
+    answers = transcript.answers  # one key per executed answer stage
     transcript.correct = answers_equal(transcript.final_answer, item.answer)
-
-    executed = {turn.stage for turn in state.turns}
-    transcript.rewards.fast = reward_fast(state.answers.get(Stage.FAST_THINKING), item.answer)
-    if Stage.SLOW_THINKING in executed:
-        transcript.rewards.slow = reward_slow(state.answers.get(Stage.SLOW_THINKING), item.answer)
-    if Stage.SUMMARIZATION in executed:
-        summary_turn = state.turns[-1]
+    transcript.rewards.fast = reward_fast(answers.get(Stage.FAST_THINKING), item.answer)
+    if Stage.SLOW_THINKING in answers:
+        transcript.rewards.slow = reward_slow(answers.get(Stage.SLOW_THINKING), item.answer)
+    if Stage.SUMMARIZATION in answers:
+        summary_turn = transcript.turns[-1]
+        # the summary is scored against the fast-thinking prompt alone
+        fast_prompt = ({"role": "user", "content": transcript.turns[0].prompt},)
         try:
-            logprob = backend.score_logprob(fast_prompt_messages(transcript), summary_turn.response)
+            logprob = backend.score_logprob(fast_prompt, summary_turn.response)
         except LogprobUnsupportedError:
             # proxy unavailable: consistency term contributes nothing
             logprob = 0.0
             transcript.logprob_available = False
         transcript.summary_logprob = logprob
         transcript.rewards.summary = reward_summary(
-            state.answers.get(Stage.SUMMARIZATION),
-            state.answers.get(Stage.SLOW_THINKING),
+            answers.get(Stage.SUMMARIZATION),
+            answers.get(Stage.SLOW_THINKING),
             logprob,
             summary_turn.token_count,
             reward_cfg,
         )
     if trailing is not None:
         transcript.rewards.verify = reward_verify(
-            transcript.rewards.fast == 1.0, state.verdict, trailing)
+            transcript.rewards.fast == 1.0, transcript.verdict, trailing)
     return transcript
 
 
@@ -172,11 +155,7 @@ def run_batch(backend: Backend, items: list[QAItem], mode: Mode, *,
             episode_id=f"ep-{idx:05d}-{j:03d}",
         )
 
-    if parallelism <= 1:
-        transcripts = [_one(spec) for spec in specs]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            transcripts = list(pool.map(_one, specs))
+    transcripts = run_all(_one, specs, parallelism)
 
     ok = [t for t in transcripts if not t.failed]
     failures = len(transcripts) - len(ok)
@@ -210,7 +189,6 @@ class Trajectory:
 
     stage_token_counts: tuple[int, ...]
     stage_rewards: tuple[float, ...]
-    mode: Mode = Mode.TRAINING
     boundaries: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -251,8 +229,7 @@ class Trajectory:
                 raise ValueError(f"reward for {turn.stage.key} not filled yet")
             counts.append(max(turn.token_count, 1))
             rewards.append(reward)
-        return cls(stage_token_counts=tuple(counts), stage_rewards=tuple(rewards),
-                   mode=transcript.mode)
+        return cls(stage_token_counts=tuple(counts), stage_rewards=tuple(rewards))
 
 
 def compute_stage_returns(traj: Trajectory) -> list[float]:

@@ -20,7 +20,6 @@ Routing table applied by :func:`advance`:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -140,23 +139,65 @@ class Turn:
 
 
 @dataclass
-class EpisodeState:
-    """Mutable state of one episode; single-writer, advanced sequentially."""
+class StageRewards:
+    """Per-stage scalar rewards; a field is present iff its stage executed."""
+
+    fast: float | None = None
+    verify: float | None = None
+    slow: float | None = None
+    summary: float | None = None
+
+    def for_stage(self, stage: Stage) -> float | None:
+        return {
+            Stage.FAST_THINKING: self.fast,
+            Stage.VERIFICATION: self.verify,
+            Stage.SLOW_THINKING: self.slow,
+            Stage.SUMMARIZATION: self.summary,
+        }[stage]
+
+
+@dataclass
+class Transcript:
+    """One episode: its dialogue and routing state, then its rewards.
+
+    begin_episode creates it and advance moves it stage by stage to
+    terminal; single-writer while running. Once terminal the only later
+    mutations are scoring and the batch barrier filling in the
+    verification reward.
+    """
 
     mode: Mode
     item: QAItem
-    budgets: StageBudgets
+    budgets: StageBudgets = field(default_factory=StageBudgets)
+    episode_id: str = ""
+    seed: int = 0
+    backend_id: str = ""
     stage: Stage | None = Stage.FAST_THINKING
     pending_prompt: str | None = None
     turns: list[Turn] = field(default_factory=list)
     answers: dict[Stage, ExtractedAnswer | None] = field(default_factory=dict)
     verdict: Verdict | None = None
     final_stage: Stage | None = None
-    terminal_step: int | None = None
+    correct: bool | None = None
+    rewards: StageRewards = field(default_factory=StageRewards)
+    summary_logprob: float | None = None
+    logprob_available: bool = True
+    failed: bool = False
+    error: str | None = None
 
     @property
     def terminal(self) -> bool:
         return self.stage is None
+
+    @property
+    def final_answer(self) -> ExtractedAnswer | None:
+        """The deciding stage's answer; None until terminal, or when that
+        stage had no box."""
+        return self.answers.get(self.final_stage)
+
+    @property
+    def total_tokens(self) -> int:
+        return sum(t.token_count for t in self.turns)
 
     def messages(self) -> list[dict[str, str]]:
         """Dialogue so far plus the pending prompt, as chat messages."""
@@ -169,30 +210,34 @@ class EpisodeState:
         return msgs
 
 
-def begin_episode(item: QAItem, mode: Mode, budgets: StageBudgets | None = None) -> EpisodeState:
+# The running episode is the same record; the name stays for code that
+# looks up the episode state class.
+EpisodeState = Transcript
+
+
+def begin_episode(item: QAItem, mode: Mode, budgets: StageBudgets | None = None,
+                  **metadata) -> Transcript:
     """Start an episode at fast thinking with its prompt rendered.
 
     The first prompt is mode-independent; mode only affects routing later.
+    *metadata* (episode_id, seed, backend_id) is recorded as given.
     """
-    budgets = budgets or StageBudgets()
-    state = EpisodeState(mode=mode, item=item, budgets=budgets)
-    state.pending_prompt = render_prompt(Stage.FAST_THINKING, item)
-    return state
+    return Transcript(mode=mode, item=item, budgets=budgets or StageBudgets(),
+                      pending_prompt=render_prompt(Stage.FAST_THINKING, item), **metadata)
 
 
-def _enter(state: EpisodeState, stage: Stage) -> None:
+def _enter(state: Transcript, stage: Stage) -> None:
     state.stage = stage
     state.pending_prompt = render_prompt(stage, state.item)
 
 
-def _terminate(state: EpisodeState, final_stage: Stage) -> None:
+def _terminate(state: Transcript, final_stage: Stage) -> None:
     state.stage = None
     state.pending_prompt = None
     state.final_stage = final_stage
-    state.terminal_step = len(state.turns) - 1
 
 
-def advance(state: EpisodeState, result) -> EpisodeState:
+def advance(state: Transcript, result) -> Transcript:
     """Record the current stage's response and apply the routing table.
 
     *result* is any object with ``text``, ``token_count``, and
@@ -246,72 +291,3 @@ def advance(state: EpisodeState, result) -> EpisodeState:
     else:  # SUMMARIZATION: always terminal, final answer stays the slow one
         _terminate(state, Stage.SLOW_THINKING)
     return state
-
-
-def final_answer(state: EpisodeState) -> ExtractedAnswer | None:
-    """The episode's final answer; absent when the deciding stage had no box."""
-    if not state.terminal:
-        raise EpisodeError("final_answer requires a terminal episode")
-    assert state.final_stage is not None
-    return state.answers.get(state.final_stage)
-
-
-@dataclass
-class StageRewards:
-    """Per-stage scalar rewards; a field is present iff its stage executed."""
-
-    fast: float | None = None
-    verify: float | None = None
-    slow: float | None = None
-    summary: float | None = None
-
-    def for_stage(self, stage: Stage) -> float | None:
-        return {
-            Stage.FAST_THINKING: self.fast,
-            Stage.VERIFICATION: self.verify,
-            Stage.SLOW_THINKING: self.slow,
-            Stage.SUMMARIZATION: self.summary,
-        }[stage]
-
-    def set_for_stage(self, stage: Stage, value: float | None) -> None:
-        attr = {
-            Stage.FAST_THINKING: "fast",
-            Stage.VERIFICATION: "verify",
-            Stage.SLOW_THINKING: "slow",
-            Stage.SUMMARIZATION: "summary",
-        }[stage]
-        setattr(self, attr, value)
-
-
-@dataclass
-class Transcript:
-    """A finished episode with rewards and run metadata.
-
-    Treated as append-only once terminal: the only later mutation is the
-    batch barrier filling in the verification reward.
-    """
-
-    episode_id: str
-    mode: Mode
-    item: QAItem
-    seed: int
-    backend_id: str
-    turns: list[Turn] = field(default_factory=list)
-    answers: dict[Stage, ExtractedAnswer | None] = field(default_factory=dict)
-    verdict: Verdict | None = None
-    final_stage: Stage | None = None
-    final_answer: ExtractedAnswer | None = None
-    correct: bool | None = None
-    rewards: StageRewards = field(default_factory=StageRewards)
-    summary_logprob: float | None = None
-    logprob_available: bool = True
-    failed: bool = False
-    error: str | None = None
-    created_at: float = field(default_factory=time.time)
-
-    @property
-    def total_tokens(self) -> int:
-        return sum(t.token_count for t in self.turns)
-
-    def stages_visited(self) -> list[Stage]:
-        return [t.stage for t in self.turns]

@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 from statistics import fmean, stdev
 
-from thinker.backend import MockBackend, PolicyParams, ScriptedPolicyBackend
+from thinker.backend import PolicyParams, ScriptedPolicyBackend
 from thinker.cli import transcript_record
 from thinker.config import EngineConfig, config_hash
 from thinker.dataset import QAItem, sample_batch
@@ -39,6 +39,7 @@ from thinker.sim import (
 from thinker.task import Mode, StageBudgets
 
 from conftest import fixture_map
+from mock_backend import MockBackend
 from stub_server import StubServer
 from test_rollout import brute_force_gae
 
@@ -329,7 +330,7 @@ def test_c07_grading_corpus():
 # 8. wire conformance: budgets and temperatures exactly as configured
 
 def test_c08_wire_conformance():
-    from thinker.backend import HttpBackend, HttpBackendSettings
+    from thinker.backend import BackendConfig, HttpBackend
 
     summary_text = " ".join(["recap"] * 340) + " \\boxed{7}"
     script = {
@@ -339,7 +340,7 @@ def test_c08_wire_conformance():
         3: summary_text,
     }
     with StubServer(lambda payload, index: script[index]) as stub:
-        backend = HttpBackend(HttpBackendSettings(base_url=stub.base_url, model="test-model"))
+        backend = HttpBackend(BackendConfig(kind="http", base_url=stub.base_url, model="test-model"))
         item = QAItem(id="wire", question="Compute 3 + 4.", answer="7")
         transcript = run_episode(backend, item, Mode.TRAINING, budgets=StageBudgets(), seed=0)
         assert not transcript.failed

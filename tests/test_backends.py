@@ -5,9 +5,8 @@ from thinker.backend import (
     FINISH_STOP,
     GenerationRequest,
     GenerationResult,
+    BackendConfig,
     HttpBackend,
-    HttpBackendSettings,
-    MockBackend,
     PolicyParams,
     ScriptedPolicyBackend,
     count_tokens,
@@ -16,10 +15,11 @@ from thinker.backend import (
     truncate_to_budget,
     wrong_answer,
 )
-from thinker.errors import BackendError, LogprobUnsupportedError, MockFixtureError
+from thinker.errors import BackendError, LogprobUnsupportedError
 from thinker.grading import extract_boxed, extract_verdict, Verdict
 from thinker.task import Stage
 
+from mock_backend import MockBackend, MockFixtureError
 from stub_server import StubServer
 
 
@@ -242,7 +242,7 @@ class TestHttpBackend:
     def settings(self, url, **kwargs):
         defaults = dict(base_url=url, model="m", timeout_s=5.0, backoff_s=0.01)
         defaults.update(kwargs)
-        return HttpBackendSettings(**defaults)
+        return BackendConfig(kind="http", **defaults)
 
     def test_happy_path_and_wire_fields(self):
         with StubServer(lambda payload, i: "answer \\boxed{7}") as stub:
@@ -327,8 +327,13 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.generate(request())
 
+    @pytest.mark.parametrize("bad", [{"max_in_flight": 0}, {"timeout_s": 0}])
+    def test_unusable_limits_rejected(self, bad):
+        # an in-flight bound of 0 would block the first generate() forever
+        with pytest.raises(ValueError):
+            HttpBackend(BackendConfig(kind="http", **bad))
+
     def test_scoring_unsupported(self):
         backend = HttpBackend(self.settings("http://127.0.0.1:9/v1"))
-        assert not backend.supports_scoring
         with pytest.raises(LogprobUnsupportedError):
             backend.score_logprob(user_msg(), "text")

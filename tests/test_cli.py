@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from thinker.cli import main
 from thinker.dataset import load_dataset
 
@@ -179,6 +181,39 @@ class TestSimulate:
 
     def test_bad_sweep_spec_is_config_error(self, capsys):
         assert run_cli("simulate", "--sweep", "p_fast=0..1") == 3
+
+
+class TestArgumentChecks:
+    def test_out_of_range_policy_flag_is_config_error(self, capsys):
+        assert run_cli("simulate", "--episodes", "10", "--p-fast", "1.5") == 3
+        assert "config error" in capsys.readouterr().err
+
+    def test_policy_flag_wins_over_set(self, capsys):
+        code = run_cli("--set", "backend.policy.p_fast=0", "episode", "--json",
+                       "--p-fast", "1", "--t-p", "1",
+                       "--question", "Compute 2 + 2.", "--answer", "4")
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["correct"] is True
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--dataset", "{data}", "--k", "0"],
+        ["eval", "--dataset", "{data}", "--k", "-1"],
+        ["eval", "--dataset", "{data}", "--parallelism", "0"],
+        ["rollout", "--dataset", "{data}", "--batch-size", "0"],
+        ["rollout", "--dataset", "{data}", "--samples-per-prompt", "0"],
+        ["rollout", "--dataset", "{data}", "--parallelism", "-3"],
+        ["simulate", "--episodes", "0"],
+        ["gen-data", "--n", "0", "--out", "{out}"],
+    ])
+    def test_non_positive_count_is_usage_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "2", "--out", str(data))
+        out = tmp_path / "out"
+        argv = [arg.format(data=data, out=out) for arg in argv]
+        assert run_cli(*argv) == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTopLevel:

@@ -89,7 +89,7 @@ class TestBuild:
         cfg = config_from_dict({"backend": {
             "kind": "http", "base_url": "http://h/v1", "model": "m",
             "timeout_s": 5.0, "max_in_flight": 2, "api_key_env": "KEY"}})
-        settings = cfg.backend.http_settings()
+        settings = build_backend(cfg).settings
         assert settings.base_url == "http://h/v1"
         assert settings.model == "m"
         assert settings.timeout_s == 5.0
@@ -171,8 +171,6 @@ class TestBuildBackend:
         assert isinstance(backend, HttpBackend)
         assert backend.settings.base_url == "http://x/v1"
 
-    def test_mock_requires_fixtures(self):
-        cfg = config_from_dict({"backend": {"kind": "mock"}})
-        with pytest.raises(ConfigError):
-            build_backend(cfg)
-        assert build_backend(cfg, mock_fixtures={}).name == "mock"
+    def test_mock_kind_rejected(self):
+        with pytest.raises(ConfigError, match="kind"):
+            config_from_dict({"backend": {"kind": "mock"}})

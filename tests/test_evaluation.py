@@ -5,7 +5,6 @@ import pytest
 from thinker.backend import (
     Backend,
     GenerationResult,
-    MockBackend,
     PolicyParams,
     ScriptedPolicyBackend,
 )
@@ -23,6 +22,7 @@ from thinker.evaluation import (
 from thinker.task import Stage, StageBudgets
 
 from conftest import fixture_map
+from mock_backend import MockBackend
 
 
 class TestReflections:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker.backend import MockBackend, PolicyParams, ScriptedPolicyBackend
+from thinker.backend import PolicyParams, ScriptedPolicyBackend
 from thinker.dataset import QAItem
 from thinker.errors import BackendError
 from thinker.rewards import RewardConfig, TrailingConfig
@@ -19,6 +19,7 @@ from thinker.rollout import (
 from thinker.task import Mode, Stage
 
 from conftest import fixture_map
+from mock_backend import MockBackend
 
 
 def brute_force_gae(rewards, values, boundaries, gamma=1.0, lam=1.0):

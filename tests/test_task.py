@@ -12,7 +12,6 @@ from thinker.task import (
     StageBudgets,
     advance,
     begin_episode,
-    final_answer,
     render_prompt,
     render_single_turn_prompt,
     stage_template,
@@ -137,8 +136,8 @@ class TestEpisodeFlow:
 
     def test_final_answer_requires_terminal(self, item):
         state = begin_episode(item, Mode.INFERENCE)
-        with pytest.raises(EpisodeError):
-            final_answer(state)
+        advance(state, reply("\\boxed{7}"))
+        assert state.final_answer is None
 
     def test_truncated_response_still_extracted(self, item):
         state = begin_episode(item, Mode.INFERENCE)
@@ -151,7 +150,7 @@ class TestEpisodeFlow:
         advance(state, reply("\\boxed{9}"))
         advance(state, reply("\\boxed{Yes}"))
         assert state.terminal
-        assert final_answer(state).raw == "9"
+        assert state.final_answer.raw == "9"
 
     def test_training_ignores_yes_when_fast_wrong(self, item):
         state = begin_episode(item, Mode.TRAINING)
@@ -167,7 +166,7 @@ class TestEpisodeFlow:
         assert state.stage is Stage.SUMMARIZATION
         advance(state, reply("summary \\boxed{7}"))
         assert state.terminal
-        assert final_answer(state).raw == "7"
+        assert state.final_answer.raw == "7"
         assert state.final_stage is Stage.SLOW_THINKING
 
     def test_no_box_final_answer_absent(self, item):
@@ -176,7 +175,7 @@ class TestEpisodeFlow:
         advance(state, reply("\\boxed{No}"))
         advance(state, reply("I give up"))
         assert state.terminal
-        assert final_answer(state) is None
+        assert state.final_answer is None
 
 
 def expected_flow(mode, fast_correct, verdict, slow_correct):
@@ -218,8 +217,7 @@ def test_transition_truth_table(mode, fast_correct, verdict, slow_correct, item)
     stages, which = expected_flow(mode, fast_correct, verdict, slow_correct)
     assert [t.stage.key for t in state.turns] == stages
     expected_answer = fast_answer if which == "fast" else slow_answer
-    assert final_answer(state).raw == expected_answer
-    assert state.terminal_step == len(stages) - 1
+    assert state.final_answer.raw == expected_answer
 
 
 def test_training_episode_with_correct_fast_has_two_turns(item):
