@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import os
 import random
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -86,17 +85,13 @@ class GenerationResult:
     text: str
     token_count: int
     finish_reason: str = FINISH_STOP
-    logprob_sum: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.logprob_sum is not None and self.logprob_sum > 0:
-            raise ValueError("logprob_sum must be <= 0")
 
 
 class Backend:
     """Interface: concurrent-safe generate(), optional completion scoring."""
 
     name = "backend"
+    waits_on_server = False  # does generate() wait on another process? (see rollout.run_all)
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         raise NotImplementedError
@@ -263,7 +258,6 @@ class BackendConfig:
     base_url: str = "http://localhost:8000/v1"
     model: str = "default"
     timeout_s: float = 60.0
-    max_in_flight: int = 8
     api_key_env: str = "THINKER_API_KEY"
     max_attempts: int = 3
     backoff_s: float = 0.5
@@ -274,8 +268,6 @@ class BackendConfig:
             raise ValueError(f"backend kind must be one of {BACKEND_KINDS}")
         if self.timeout_s <= 0:
             raise ValueError("backend.timeout_s must be positive")
-        if self.max_in_flight < 1:
-            raise ValueError("backend.max_in_flight must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("backend.max_attempts must be >= 1")
         if self.backoff_s < 0:
@@ -283,7 +275,7 @@ class BackendConfig:
 
 
 class HttpBackend(Backend):
-    """Chat-completions client with retries and an in-flight bound.
+    """Chat-completions client with retries.
 
     Transport errors and 5xx responses are retried with exponential backoff;
     a still-failing call raises BackendError (episodes record the failure,
@@ -295,11 +287,11 @@ class HttpBackend(Backend):
     """
 
     name = "http"
+    waits_on_server = True
 
     def __init__(self, settings: BackendConfig | None = None, tokenizer=count_tokens):
         self.settings = settings or BackendConfig(kind="http")
         self.tokenizer = tokenizer
-        self._gate = threading.Semaphore(self.settings.max_in_flight)
         self._session = requests.Session()
 
     def _headers(self) -> dict[str, str]:
@@ -343,8 +335,7 @@ class HttpBackend(Backend):
         }
         if request.seed is not None:
             payload["seed"] = request.seed
-        with self._gate:
-            body = self._post(payload)
+        body = self._post(payload)
         try:
             choice = body["choices"][0]
             text = choice["message"]["content"]

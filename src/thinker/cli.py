@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import yaml
@@ -106,13 +107,10 @@ def dump_record(record: dict) -> str:
     return json.dumps(record, sort_keys=True, ensure_ascii=False)
 
 
-def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str,
-                      with_returns: bool = True) -> None:
+def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for transcript in transcripts:
-            record = (_record_with_returns if with_returns else transcript_record)(
-                transcript, cfg_hash)
-            fh.write(dump_record(record))
+            fh.write(dump_record(_record_with_returns(transcript, cfg_hash)))
             fh.write("\n")
 
 
@@ -164,6 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the effective config and its hash, then exit")
 
     commands = parser.add_subparsers(dest="command")
+    parallelism_help = ("most requests in flight to an http backend (default from config); "
+                        "in-process backends run episodes inline")
 
     grade = commands.add_parser("grade", help="grade JSONL {response, answer} pairs from stdin")
     grade.add_argument("--fields", default="response,answer",
@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     rollout.add_argument("--batch-size", type=_positive_int,
                          help="prompts per batch (default from config)")
     rollout.add_argument("--samples-per-prompt", type=_positive_int, help="default from config")
-    rollout.add_argument("--parallelism", type=_positive_int, help="default from config")
+    rollout.add_argument("--parallelism", type=_positive_int, help=parallelism_help)
     rollout.add_argument("--seed", type=int, default=0)
     rollout.add_argument("--out", default="transcripts.jsonl")
     _add_policy_flags(rollout)
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--mode", choices=["thinker", "thinker-fast", "single-turn"],
                     help="default: every mode in eval.modes")
     ev.add_argument("--k", type=_positive_int, help="samples per question (default from config)")
-    ev.add_argument("--parallelism", type=_positive_int, help="default from config")
+    ev.add_argument("--parallelism", type=_positive_int, help=parallelism_help)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", default="eval_report.json")
     _add_policy_flags(ev)
@@ -373,8 +373,8 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError:
         raise ConfigError(f"bad sweep spec {spec!r}; expected NAME=START:STOP:STEP") from None
-    if step <= 0:
-        raise ConfigError("sweep step must be positive")
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        raise ConfigError(f"bad sweep range {spec!r}; expected finite START <= STOP and STEP > 0")
     count = int(round((stop - start) / step))
     values = [round(start + i * step, 10) for i in range(count + 1)]
     return name.strip(), [v for v in values if v <= stop + 1e-9]
@@ -385,7 +385,10 @@ def _cmd_simulate(args, cfg: EngineConfig) -> int:
     cfg_hash = config_hash(cfg)
     if args.sweep:
         name, values = _parse_sweep(args.sweep)
-        rows = sweep(name, values, params, args.episodes, args.seed, budgets=cfg.budgets)
+        try:
+            rows = sweep(name, values, params, args.episodes, args.seed, budgets=cfg.budgets)
+        except ValueError as exc:
+            raise ConfigError(f"--sweep {args.sweep}: {exc}") from None
         columns = list(rows[0].keys())
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(f"# config_hash={cfg_hash} seed={args.seed}\n")
@@ -410,9 +413,12 @@ def _format_cell(value) -> str:
 
 
 def _cmd_gen_data(args, cfg: EngineConfig) -> int:
-    sim_cfg = SyntheticTaskConfig(
-        n_items=args.n, min_operands=args.min_operands,
-        max_operands=args.max_operands, magnitude=args.magnitude, seed=args.seed)
+    try:
+        sim_cfg = SyntheticTaskConfig(
+            n_items=args.n, min_operands=args.min_operands,
+            max_operands=args.max_operands, magnitude=args.magnitude, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     dataset = gen_synthetic(sim_cfg)
     write_dataset(args.out, dataset.items)
     print(f"wrote {len(dataset)} items to {args.out} (config={config_hash(cfg)})")

@@ -37,7 +37,6 @@ class Dataset:
     """An ordered collection of QAItems with unique ids."""
 
     items: tuple[QAItem, ...]
-    source_path: str = "<memory>"
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
@@ -104,7 +103,7 @@ def load_dataset(path: str) -> Dataset:
             raise DatasetError(f"line {line_no}: duplicate id {item.id!r}")
         seen.add(item.id)
         items.append(item)
-    return Dataset(items=tuple(items), source_path=str(path))
+    return Dataset(items=tuple(items))
 
 
 def sample_batch(dataset: Dataset, n: int, seed: int) -> list[QAItem]:

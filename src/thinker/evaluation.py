@@ -181,7 +181,7 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         return correct, [(key, tokens) for key, tokens, _ in turns], reflections
 
     specs = [(item, j) for item in dataset for j in range(k)]
-    outcomes = run_all(_one, specs, parallelism)
+    outcomes = run_all(backend, _one, specs, parallelism)
     by_question: dict[str, list] = {}
     for (item, _), outcome in zip(specs, outcomes):
         by_question.setdefault(item.id, []).append(outcome)

@@ -1,9 +1,10 @@
 """Batch episode execution and per-token credit assignment.
 
-Episodes run concurrently (bounded), each a pure function of its derived
-seed, so batch outputs are identical at any parallelism. Verification
-rewards are assigned at a single barrier after the whole batch finishes,
-using the trailing fast accuracy computed from that same batch.
+Episodes run side by side (at most *parallelism*, one request each) only on
+a backend that waits on a server, each a pure function of its derived seed,
+so batch outputs are identical at any parallelism. Verification rewards are
+assigned at a single barrier after the whole batch finishes, using the
+trailing fast accuracy computed from that same batch.
 
 Credit assignment places each stage's scalar reward on the stage's final
 token and treats stage boundaries as hard resets: no reward and no value
@@ -48,9 +49,10 @@ def stage_request(state: Transcript, episode_seed: int) -> GenerationRequest:
     )
 
 
-def run_all(fn, specs: list, parallelism: int) -> list:
-    """fn over specs in order, on up to *parallelism* threads (inline at 1)."""
-    if parallelism <= 1:
+def run_all(backend: Backend, fn, specs: list, parallelism: int) -> list:
+    """fn over specs in order, on up to *parallelism* threads if the backend
+    waits on a server; inline otherwise, as threads only add GIL hand-offs."""
+    if parallelism <= 1 or not backend.waits_on_server:
         return [fn(spec) for spec in specs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(fn, specs))
@@ -155,7 +157,7 @@ def run_batch(backend: Backend, items: list[QAItem], mode: Mode, *,
             episode_id=f"ep-{idx:05d}-{j:03d}",
         )
 
-    transcripts = run_all(_one, specs, parallelism)
+    transcripts = run_all(backend, _one, specs, parallelism)
 
     ok = [t for t in transcripts if not t.failed]
     failures = len(transcripts) - len(ok)

@@ -87,7 +87,7 @@ def gen_synthetic(cfg: SyntheticTaskConfig) -> Dataset:
             question=f"Compute {expression}.",
             answer=str(answer),
         ))
-    return Dataset(items=tuple(items), source_path=f"<synthetic seed={cfg.seed}>")
+    return Dataset(items=tuple(items))
 
 
 def analytic_accuracy(params: PolicyParams) -> float:
@@ -170,13 +170,18 @@ def sweep(param_name: str, values: list[float], base: PolicyParams,
     """Analytic and Monte Carlo estimates along one parameter axis.
 
     Returns one row per value with both predictions and both estimates,
-    ready for columnar output.
+    ready for columnar output. Every value is checked before the first
+    estimate runs; integer parameters take whole numbers only.
     """
     if param_name not in {f.name for f in fields(PolicyParams)}:
         raise ValueError(f"unknown policy parameter {param_name!r}")
+    if isinstance(getattr(base, param_name), int):
+        if any(value != int(value) for value in values):
+            raise ValueError(f"{param_name} takes whole numbers only")
+        values = [int(value) for value in values]
+    settings = [PolicyParams(**{**asdict(base), param_name: value}) for value in values]
     rows = []
-    for value in values:
-        params = PolicyParams(**{**asdict(base), param_name: value})
+    for value, params in zip(values, settings):
         acc, tok = monte_carlo(params, n_episodes, seed, budgets=budgets)
         rows.append({
             param_name: value,

@@ -42,13 +42,6 @@ class Stage(IntEnum):
     def key(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_key(cls, key: str) -> "Stage":
-        try:
-            return cls[key.upper()]
-        except KeyError:
-            raise ValueError(f"unknown stage {key!r}") from None
-
 
 class Mode(Enum):
     TRAINING = "training"

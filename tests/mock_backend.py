@@ -1,8 +1,14 @@
-"""Fixture-replay backend for deterministic tests."""
+"""Test doubles: a fixture-replay backend and thread-recording scripted policies."""
 
 import threading
 
-from thinker.backend import Backend, GenerationRequest, GenerationResult, truncate_to_budget
+from thinker.backend import (
+    Backend,
+    GenerationRequest,
+    GenerationResult,
+    ScriptedPolicyBackend,
+    truncate_to_budget,
+)
 from thinker.errors import BackendError
 from thinker.task import Stage
 
@@ -46,3 +52,22 @@ class MockBackend(Backend):
         if not completion_text:
             return 0.0
         return self.logprob_value
+
+
+class RecordingScriptedBackend(ScriptedPolicyBackend):
+    """The scripted policy, recording the thread of every generate() call."""
+
+    def __init__(self, params=None):
+        super().__init__(params)
+        self.threads: set[int] = set()
+
+    def generate(self, request: GenerationRequest) -> GenerationResult:
+        self.threads.add(threading.get_ident())
+        return super().generate(request)
+
+
+class PooledScriptedBackend(RecordingScriptedBackend):
+    """The scripted policy marked as waiting on a server, so batches run its
+    episodes on the thread pool the HTTP backend uses."""
+
+    waits_on_server = True

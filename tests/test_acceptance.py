@@ -10,6 +10,7 @@ assignment, isolation, wire fidelity, and determinism.
 import itertools
 import json
 import random
+import threading
 import time
 from fractions import Fraction
 from statistics import fmean, stdev
@@ -39,7 +40,7 @@ from thinker.sim import (
 from thinker.task import Mode, StageBudgets
 
 from conftest import fixture_map
-from mock_backend import MockBackend
+from mock_backend import MockBackend, PooledScriptedBackend
 from stub_server import StubServer
 from test_rollout import brute_force_gae
 
@@ -358,6 +359,7 @@ def test_c08_wire_conformance():
 
 # --------------------------------------------------------------------------
 # 9. determinism: identical transcript files at parallelism 1 and 16
+#    (on a backend marked as waiting on a server, so 16 runs on the pool)
 
 def test_c09_determinism_across_parallelism(tmp_path):
     from thinker.cli import write_transcripts
@@ -367,10 +369,12 @@ def test_c09_determinism_across_parallelism(tmp_path):
     cfg_hash = config_hash(EngineConfig())
     paths = []
     for parallelism in (1, 16):
+        backend = PooledScriptedBackend(params)
         batch = run_batch(
-            ScriptedPolicyBackend(params), list(dataset.items), Mode.TRAINING,
+            backend, list(dataset.items), Mode.TRAINING,
             seed=123, samples_per_prompt=4, parallelism=parallelism)
         assert len(batch.transcripts) == 200
+        assert (threading.get_ident() in backend.threads) == (parallelism == 1)
         path = tmp_path / f"transcripts-p{parallelism}.jsonl"
         write_transcripts(str(path), batch.transcripts, cfg_hash)
         paths.append(path)

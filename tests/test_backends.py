@@ -1,10 +1,11 @@
+import threading
+
 import pytest
 
 from thinker.backend import (
     FINISH_LENGTH,
     FINISH_STOP,
     GenerationRequest,
-    GenerationResult,
     BackendConfig,
     HttpBackend,
     PolicyParams,
@@ -15,9 +16,11 @@ from thinker.backend import (
     truncate_to_budget,
     wrong_answer,
 )
+from thinker.dataset import QAItem
 from thinker.errors import BackendError, LogprobUnsupportedError
 from thinker.grading import extract_boxed, extract_verdict, Verdict
-from thinker.task import Stage
+from thinker.rollout import run_batch
+from thinker.task import Mode, Stage
 
 from mock_backend import MockBackend, MockFixtureError
 from stub_server import StubServer
@@ -58,10 +61,6 @@ class TestRequestContract:
     def test_positive_budget(self):
         with pytest.raises(ValueError):
             GenerationRequest(messages=user_msg(), max_tokens=0, temperature=1.0)
-
-    def test_result_logprob_nonpositive(self):
-        with pytest.raises(ValueError):
-            GenerationResult(text="x", token_count=1, logprob_sum=0.5)
 
 
 class TestTruncation:
@@ -327,11 +326,32 @@ class TestHttpBackend:
         with pytest.raises(BackendError):
             backend.generate(request())
 
-    @pytest.mark.parametrize("bad", [{"max_in_flight": 0}, {"timeout_s": 0}])
-    def test_unusable_limits_rejected(self, bad):
-        # an in-flight bound of 0 would block the first generate() forever
+    def test_unusable_limits_rejected(self):
         with pytest.raises(ValueError):
-            HttpBackend(BackendConfig(kind="http", **bad))
+            HttpBackend(BackendConfig(kind="http", timeout_s=0))
+
+    def test_parallelism_bounds_requests_in_flight(self):
+        # the first request of each of 9 episodes is answered only once all
+        # 9 are at the server at the same time
+        arrived = threading.Barrier(9)
+
+        def behavior(payload, index):
+            if index < 9:
+                try:
+                    arrived.wait(timeout=10)
+                except threading.BrokenBarrierError:
+                    return 500
+            return "\\boxed{Yes}" if len(payload["messages"]) == 3 else "\\boxed{7}"
+
+        items = [QAItem(id=f"q{i}", question="Compute 3 + 4.", answer="7") for i in range(9)]
+        with StubServer(behavior) as stub:
+            # the client outwaits the barrier, so a bound below 9 shows as a
+            # broken barrier rather than as a client timeout
+            backend = HttpBackend(self.settings(stub.base_url, timeout_s=30.0, max_attempts=1))
+            batch = run_batch(backend, items, Mode.TRAINING, seed=0, parallelism=9)
+        assert not arrived.broken
+        assert batch.failures == 0
+        assert batch.final_accuracy == 1.0
 
     def test_scoring_unsupported(self):
         backend = HttpBackend(self.settings("http://127.0.0.1:9/v1"))

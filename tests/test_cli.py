@@ -179,14 +179,37 @@ class TestSimulate:
         assert "analytic_accuracy" in header and "mc_tokens_se" in header
         assert len(lines) == 2 + 3  # comment + header + three sweep points
 
-    def test_bad_sweep_spec_is_config_error(self, capsys):
-        assert run_cli("simulate", "--sweep", "p_fast=0..1") == 3
+    @pytest.mark.parametrize("spec", ["p_fast=0..1", "p_fast=1:0:0.1", "p_fast=0:1:nan",
+                                      "p_fast=0:inf:1", "p_fast=0:1:0"])
+    def test_bad_sweep_spec_is_config_error(self, spec, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+        assert run_cli("simulate", "--episodes", "10", "--sweep", spec) == 3
 
 
 class TestArgumentChecks:
-    def test_out_of_range_policy_flag_is_config_error(self, capsys):
-        assert run_cli("simulate", "--episodes", "10", "--p-fast", "1.5") == 3
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--episodes", "10", "--p-fast", "1.5"],
+        ["gen-data", "--n", "3", "--magnitude", "0", "--out", "{out}"],
+        ["gen-data", "--n", "3", "--min-operands", "1", "--out", "{out}"],
+        ["simulate", "--episodes", "10", "--sweep", "p_fast=0:2:1", "--out", "{out}"],
+        ["simulate", "--episodes", "10", "--sweep", "nope=0:1:0.5", "--out", "{out}"],
+        ["simulate", "--episodes", "10", "--sweep", "fast_tokens=8:9:0.5", "--out", "{out}"],
+    ])
+    def test_out_of_range_policy_flag_is_config_error(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(*[arg.format(out=out) for arg in argv]) == 3
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_sweep_values_pass_as_int(self, tmp_path, capsys):
+        out = tmp_path / "sweep.tsv"
+        code = run_cli("simulate", "--episodes", "10", "--sweep", "fast_tokens=8:10:1",
+                       "--out", str(out))
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 2 + 3
+        assert [line.split("\t")[0] for line in lines[2:]] == ["8", "9", "10"]
 
     def test_policy_flag_wins_over_set(self, capsys):
         code = run_cli("--set", "backend.policy.p_fast=0", "episode", "--json",
@@ -234,9 +257,11 @@ class TestTopLevel:
     def test_unknown_flag_is_usage_error(self, capsys):
         assert run_cli("--frobnicate") == 2
 
-    def test_unknown_config_key_is_config_error(self, capsys):
-        assert run_cli("--set", "nonsense.key=1", "--print-config") == 3
-        assert "nonsense" in capsys.readouterr().err
+    @pytest.mark.parametrize("key, named", [("nonsense.key", "nonsense"),
+                                            ("backend.max_in_flight", "backend.max_in_flight")])
+    def test_unknown_config_key_is_config_error(self, key, named, capsys):
+        assert run_cli("--set", f"{key}=8", "--print-config") == 3
+        assert f"unknown config key {named!r}" in capsys.readouterr().err
 
     def test_config_file_applies(self, tmp_path, capsys):
         cfg = tmp_path / "engine.yaml"

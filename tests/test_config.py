@@ -88,12 +88,11 @@ class TestBuild:
     def test_flat_backend_keys(self):
         cfg = config_from_dict({"backend": {
             "kind": "http", "base_url": "http://h/v1", "model": "m",
-            "timeout_s": 5.0, "max_in_flight": 2, "api_key_env": "KEY"}})
+            "timeout_s": 5.0, "api_key_env": "KEY"}})
         settings = build_backend(cfg).settings
         assert settings.base_url == "http://h/v1"
         assert settings.model == "m"
         assert settings.timeout_s == 5.0
-        assert settings.max_in_flight == 2
         assert settings.api_key_env == "KEY"
 
     def test_eval_modes_validated(self):

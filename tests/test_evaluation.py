@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -22,7 +23,7 @@ from thinker.evaluation import (
 from thinker.task import Stage, StageBudgets
 
 from conftest import fixture_map
-from mock_backend import MockBackend
+from mock_backend import MockBackend, PooledScriptedBackend
 
 
 class TestReflections:
@@ -151,8 +152,10 @@ class TestEvaluate:
     def test_parallelism_invariance(self):
         params = PolicyParams(p_fast=0.5, t_p=0.8, t_n=0.8, p_slow=0.5)
         items = make_dataset(6)
+        pooled = PooledScriptedBackend(params)
         a = evaluate(ScriptedPolicyBackend(params), items, THINKER, k=4, seed=2, parallelism=1)
-        b = evaluate(ScriptedPolicyBackend(params), items, THINKER, k=4, seed=2, parallelism=8)
+        b = evaluate(pooled, items, THINKER, k=4, seed=2, parallelism=8)
+        assert pooled.threads and threading.get_ident() not in pooled.threads
         assert a.to_dict() == b.to_dict()
 
     def test_failed_question_excluded_with_warning(self, caplog):

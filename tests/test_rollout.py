@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from thinker.rollout import (
 from thinker.task import Mode, Stage
 
 from conftest import fixture_map
-from mock_backend import MockBackend
+from mock_backend import MockBackend, PooledScriptedBackend, RecordingScriptedBackend
 
 
 def brute_force_gae(rewards, values, boundaries, gamma=1.0, lam=1.0):
@@ -136,16 +137,25 @@ class TestRunBatch:
 
     def test_parallelism_does_not_change_results(self):
         items = make_items(5)
-        backend = ScriptedPolicyBackend(PolicyParams(p_fast=0.5, t_p=0.8, t_n=0.8, p_slow=0.5))
-        serial = run_batch(backend, items, Mode.TRAINING, seed=3, samples_per_prompt=4,
-                           parallelism=1)
-        parallel = run_batch(backend, items, Mode.TRAINING, seed=3, samples_per_prompt=4,
+        params = PolicyParams(p_fast=0.5, t_p=0.8, t_n=0.8, p_slow=0.5)
+        serial = run_batch(ScriptedPolicyBackend(params), items, Mode.TRAINING, seed=3,
+                           samples_per_prompt=4, parallelism=1)
+        pooled = PooledScriptedBackend(params)
+        parallel = run_batch(pooled, items, Mode.TRAINING, seed=3, samples_per_prompt=4,
                              parallelism=8)
+        assert pooled.threads and threading.get_ident() not in pooled.threads
         assert [t.episode_id for t in serial.transcripts] == [t.episode_id for t in parallel.transcripts]
         for a, b in zip(serial.transcripts, parallel.transcripts):
             assert [x.response for x in a.turns] == [x.response for x in b.turns]
             assert a.rewards == b.rewards
         assert serial.trailing == parallel.trailing
+
+    def test_in_process_backend_runs_inline(self):
+        # threads would only add hand-offs to a backend that never waits
+        backend = RecordingScriptedBackend()
+        run_batch(backend, make_items(4), Mode.TRAINING, seed=1, samples_per_prompt=4,
+                  parallelism=8)
+        assert backend.threads == {threading.get_ident()}
 
     def test_verify_rewards_use_batch_trailing(self):
         items = make_items(8)
