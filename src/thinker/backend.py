@@ -13,6 +13,7 @@ serializes exactly {model, messages, max_tokens, temperature, seed}.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import os
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import requests
 
 from .errors import BackendError, LogprobUnsupportedError
-from .grading import answers_equal, extract_boxed, parse_numeric
+from .grading import PARSE_CACHE_SIZE, answers_equal, extract_boxed, parse_numeric
 from .task import Stage
 
 FINISH_STOP = "stop"
@@ -153,8 +154,13 @@ def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str) -> str:
     return " ".join(words)
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def wrong_answer(truth: str) -> str:
-    """A deterministic incorrect answer: truth+1 for numbers, suffix otherwise."""
+    """A deterministic incorrect answer: truth+1 for numbers, suffix otherwise.
+
+    Memoized like ExtractedAnswer.from_raw (same size and reasoning), since
+    every wrong scripted answer would otherwise re-parse the truth.
+    """
     value = parse_numeric(truth.strip())
     if value is not None:
         bumped = value + 1
@@ -274,12 +280,23 @@ class BackendConfig:
             raise ValueError("backend.backoff_s must be >= 0")
 
 
+def _retry_after(value: str | None, cap: float) -> float | None:
+    """Seconds a delta-seconds Retry-After header asks to wait, at most cap;
+    None when the header is missing or an HTTP-date."""
+    value = (value or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), cap)
+    return None
+
+
 class HttpBackend(Backend):
     """Chat-completions client with retries.
 
-    Transport errors and 5xx responses are retried with exponential backoff;
-    a still-failing call raises BackendError (episodes record the failure,
-    they never fabricate text). The API key, when required, comes from the
+    Transport errors, 5xx and 429 responses are retried with exponential
+    backoff; a 429 whose Retry-After gives seconds waits that long instead,
+    at most timeout_s (RFC 6585; RFC 9110 section 10.2.3). A still-failing
+    call raises BackendError (episodes record the failure, they never
+    fabricate text). The API key, when required, comes from the
     environment variable named in the settings, never from config files.
     Completion scoring is not offered over this protocol: third-party
     logprobs are a proxy for the policy's own, so the capability is left to
@@ -304,9 +321,11 @@ class HttpBackend(Backend):
     def _post(self, payload: dict) -> dict:
         url = self.settings.base_url.rstrip("/") + "/chat/completions"
         last_error: Exception | None = None
+        wait: float | None = None  # a 429's Retry-After in seconds; None: the backoff
         for attempt in range(self.settings.max_attempts):
             if attempt:
-                time.sleep(self.settings.backoff_s * 2 ** (attempt - 1))
+                time.sleep(self.settings.backoff_s * 2 ** (attempt - 1) if wait is None else wait)
+                wait = None
             try:
                 resp = self._session.post(
                     url, json=payload, headers=self._headers(),
@@ -315,15 +334,19 @@ class HttpBackend(Backend):
             except requests.RequestException as exc:
                 last_error = exc
                 continue
-            if resp.status_code >= 500:
-                last_error = BackendError(f"server error {resp.status_code}")
-                continue
-            if resp.status_code != 200:
-                raise BackendError(f"request failed with status {resp.status_code}: {resp.text[:200]}")
-            try:
-                return resp.json()
-            except ValueError as exc:
-                raise BackendError(f"malformed JSON from server: {exc}") from exc
+            status = resp.status_code
+            if status == 200:
+                try:
+                    return resp.json()
+                except ValueError as exc:
+                    raise BackendError(f"malformed JSON from server: {exc}") from exc
+            if status == 429:
+                last_error = BackendError("rate limited (429)")
+                wait = _retry_after(resp.headers.get("Retry-After"), self.settings.timeout_s)
+            elif status >= 500:
+                last_error = BackendError(f"server error {status}")
+            else:
+                raise BackendError(f"request failed with status {status}: {resp.text[:200]}")
         raise BackendError(f"request failed after {self.settings.max_attempts} attempts: {last_error}")
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
@@ -343,8 +366,8 @@ class HttpBackend(Backend):
             raise BackendError(f"malformed completion payload: {exc!r}") from exc
         if not isinstance(text, str):
             raise BackendError("completion content is not a string")
-        usage = body.get("usage") or {}
-        tokens = usage.get("completion_tokens")
+        usage = body.get("usage")
+        tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
         if not isinstance(tokens, int) or tokens < 0:
             tokens = self.tokenizer(text)
         finish = choice.get("finish_reason")

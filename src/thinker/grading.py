@@ -10,10 +10,14 @@ is the single extension point for stricter or looser checkers.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+# Entries kept by each parse memo; see ExtractedAnswer.from_raw for the sizing.
+PARSE_CACHE_SIZE = 1024
 
 
 class Verdict(Enum):
@@ -34,7 +38,20 @@ class ExtractedAnswer:
     numeric: Fraction | None
 
     @classmethod
+    @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
     def from_raw(cls, raw: str) -> "ExtractedAnswer":
+        """Parse a raw capture, memoized.
+
+        The instance is frozen and its Fraction immutable, so one is shared
+        by every caller and thread. run_batch and evaluate visit episodes
+        item by item and monte_carlo cycles through its dataset (128 items
+        by default), so the live set is a few strings per item (the truth,
+        its wrong variant, Yes and No) and PARSE_CACHE_SIZE (1024) entries
+        hold a whole batch or simulation cycle. An entry keeps the raw
+        string, its canonical form (never longer) and one Fraction: about
+        0.35 kB for a short answer, under 0.5 MB for a full memo, and at
+        worst 1024 x (2 x L + 0.35 kB) when every cached answer is L bytes.
+        """
         canonical = normalize(raw)
         return cls(raw=raw, canonical=canonical, numeric=parse_numeric(canonical))
 
@@ -115,18 +132,19 @@ def parse_numeric(canonical: str) -> Fraction | None:
     """Exact rational value of a canonical answer, or None.
 
     Accepts plain decimals ("0.5", "-3") and integer ratios ("1/2");
-    anything else, including a zero denominator, is non-numeric.
+    anything else, including a zero denominator, is non-numeric. So is a
+    number with more digits than the interpreter converts
+    (``sys.get_int_max_str_digits()``, 4300 by default).
     """
     s = canonical.strip()
     m = _RATIONAL.fullmatch(s)
-    if m:
-        num, den = int(m.group(1)), int(m.group(2))
-        if den == 0:
-            return None
-        return Fraction(num, den)
-    if _DECIMAL.fullmatch(s):
-        return Fraction(s)
-    return None
+    try:
+        if m:
+            num, den = int(m.group(1)), int(m.group(2))
+            return Fraction(num, den) if den else None
+        return Fraction(s) if _DECIMAL.fullmatch(s) else None
+    except ValueError:  # more digits than int() converts
+        return None
 
 
 def _coerce(value: "ExtractedAnswer | str | None") -> ExtractedAnswer | None:

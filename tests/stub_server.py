@@ -22,7 +22,12 @@ class _Handler(BaseHTTPRequestHandler):
             })
         behavior = owner.behavior(payload, index)
         if isinstance(behavior, int):
-            self.send_response(behavior)
+            behavior = (behavior, {})
+        if isinstance(behavior, tuple):
+            status, headers = behavior
+            self.send_response(status)
+            for name, value in headers.items():
+                self.send_header(name, value)
             self.send_header("Content-Length", "0")
             self.end_headers()
             return
@@ -50,7 +55,8 @@ class StubServer:
 
     behavior(payload, call_index) may return response text (wrapped into a
     well-formed completion), a full JSON body dict, raw bytes (sent as-is),
-    or an int HTTP status (sent with an empty body).
+    an int HTTP status, or a (status, headers dict) pair; a status is sent
+    with an empty body.
     """
 
     def __init__(self, behavior=None):

@@ -279,6 +279,15 @@ class TestHttpBackend:
             backend = HttpBackend(self.settings(stub.base_url))
             assert backend.generate(request()).token_count == 3
 
+    @pytest.mark.parametrize("usage", ["n/a", [3], 7])
+    def test_non_object_usage_falls_back_to_tokenizer(self, usage):
+        body = {"choices": [{"message": {"role": "assistant", "content": "a b c"},
+                             "finish_reason": "stop"}],
+                "usage": usage}
+        with StubServer(lambda payload, i: body) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            assert backend.generate(request()).token_count == 3
+
     def test_length_finish_reason_kept(self):
         body = {"choices": [{"message": {"role": "assistant", "content": "a b"},
                              "finish_reason": "length"}],
@@ -301,6 +310,37 @@ class TestHttpBackend:
             with pytest.raises(BackendError, match="after 3 attempts"):
                 backend.generate(request())
             assert len(stub.requests) == 3
+
+    def test_retries_429_then_succeeds(self):
+        def behavior(payload, index):
+            return 429 if index == 0 else "recovered"
+        with StubServer(behavior) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            assert backend.generate(request()).text == "recovered"
+            assert len(stub.requests) == 2
+
+    def test_persistent_429_gives_up_after_max_attempts(self):
+        with StubServer(lambda payload, i: 429) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            with pytest.raises(BackendError, match="after 3 attempts: rate limited"):
+                backend.generate(request())
+            assert len(stub.requests) == 3
+
+    @pytest.mark.parametrize("retry_after,expected", [
+        ("0", [0.0]),          # the server asks for no wait: skip the backoff
+        ("3600", [2.0]),       # capped at timeout_s
+        ("Wed, 21 Oct 2015 07:28:00 GMT", [30.0]),  # HTTP-date: the backoff
+    ])
+    def test_429_waits_as_retry_after_says(self, monkeypatch, retry_after, expected):
+        sleeps = []
+        monkeypatch.setattr("thinker.backend.time.sleep", sleeps.append)
+
+        def behavior(payload, index):
+            return (429, {"Retry-After": retry_after}) if index == 0 else "recovered"
+        with StubServer(behavior) as stub:
+            backend = HttpBackend(self.settings(stub.base_url, timeout_s=2.0, backoff_s=30.0))
+            assert backend.generate(request()).text == "recovered"
+        assert sleeps == expected
 
     def test_4xx_fails_without_retry(self):
         with StubServer(lambda payload, i: 401) as stub:

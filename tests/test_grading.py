@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thinker.backend import wrong_answer
 from thinker.grading import (
     ExtractedAnswer,
     Verdict,
@@ -103,9 +105,22 @@ class TestParseNumeric:
     def test_numeric(self, text, expected):
         assert parse_numeric(text) == expected
 
-    @pytest.mark.parametrize("text", ["1/0", "x", "2+3", "1.2.3", "", "sqrt(2)", "1e3"])
+    @pytest.mark.parametrize("text", [
+        "1/0", "x", "2+3", "1.2.3", "", "sqrt(2)", "1e3",
+        # more digits than int() converts (4300 by default)
+        pytest.param("7" * 5000, id="5000-digit-integer"),
+        pytest.param("-" + "7" * 5000, id="5000-digit-negative"),
+        pytest.param("1/" + "2" * 5000, id="5000-digit-ratio"),
+        pytest.param("0." + "5" * 5000, id="5000-digit-decimal"),
+    ])
     def test_non_numeric(self, text):
         assert parse_numeric(text) is None
+
+    def test_too_many_digits_compares_as_string(self):
+        long = "1" * 5000
+        assert extract_boxed("\\boxed{" + long + "}").canonical == long
+        assert not answers_equal(long, "2")
+        assert answers_equal(long, long)
 
 
 class TestAnswersEqual:
@@ -150,6 +165,32 @@ class TestAnswersEqual:
         a, b = f"{n1}/{d1}", f"{n2}/{d2}"
         if normalize(a) == normalize(b):
             assert answers_equal(a, b)
+
+
+class TestParseMemo:
+    """from_raw and wrong_answer are memoized; the memo must change nothing."""
+
+    answers = st.one_of(
+        st.text(max_size=40),
+        st.integers(-10**6, 10**6).map(str),
+        st.tuples(st.integers(-99, 99), st.integers(-9, 9)).map(lambda t: f"{t[0]}/{t[1]}"),
+        st.sampled_from(["Yes", "No", " $0.5.$ ", "\\left(3, 4\\right)", "7" * 5000]),
+    )
+
+    @given(answers)
+    @settings(max_examples=300)
+    def test_cached_equals_uncached(self, s):
+        uncached = ExtractedAnswer.from_raw.__func__.__wrapped__(ExtractedAnswer, s)
+        for _ in range(2):  # a miss, then a hit
+            cached = ExtractedAnswer.from_raw(s)
+            assert dataclasses.astuple(cached) == dataclasses.astuple(uncached)
+            assert type(cached.numeric) is type(uncached.numeric)
+            assert wrong_answer(s) == wrong_answer.__wrapped__(s)
+
+    def test_caches_are_bounded(self):
+        for memo in (ExtractedAnswer.from_raw, wrong_answer):
+            maxsize = memo.cache_info().maxsize
+            assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestExtractVerdict:

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker.backend import PolicyParams, ScriptedPolicyBackend
+from thinker.backend import PolicyParams, ScriptedPolicyBackend, wrong_answer
+from thinker.cli import write_transcripts
 from thinker.dataset import QAItem
 from thinker.errors import BackendError
+from thinker.grading import ExtractedAnswer
 from thinker.rewards import RewardConfig, TrailingConfig
 from thinker.rollout import (
     Trajectory,
@@ -149,6 +151,36 @@ class TestRunBatch:
             assert [x.response for x in a.turns] == [x.response for x in b.turns]
             assert a.rewards == b.rewards
         assert serial.trailing == parallel.trailing
+
+    def test_cold_and_warm_parse_memos_agree(self, tmp_path):
+        def batch_bytes(name):
+            backend = PooledScriptedBackend(PolicyParams(p_fast=0.5, p_slow=0.5))
+            batch = run_batch(backend, make_items(6), Mode.TRAINING, seed=7,
+                              samples_per_prompt=4, parallelism=4)
+            path = tmp_path / name
+            write_transcripts(str(path), batch.transcripts, "hash")
+            return path.read_bytes(), batch.trailing
+
+        ExtractedAnswer.from_raw.cache_clear()
+        wrong_answer.cache_clear()
+        cold = batch_bytes("cold.jsonl")
+        assert ExtractedAnswer.from_raw.cache_info().hits > 0
+        assert batch_bytes("warm.jsonl") == cold
+
+    def test_over_long_boxed_number_is_graded(self):
+        # more digits than int() converts: compared as a string, not a crash
+        long = "7" * 5000
+        items = [QAItem(id="wrong", question="q", answer="7"),
+                 QAItem(id="right", question="q", answer=long)]
+        fixtures = {}
+        for item in items:
+            fixtures.update(fixture_map(item.id, fast=f"\\boxed{{{long}}}", verify="\\boxed{No}",
+                                        slow="\\boxed{7}", summary="\\boxed{7}"))
+        batch = run_batch(MockBackend(fixtures), items, Mode.TRAINING, seed=0)
+        assert batch.failures == 0
+        wrong, right = batch.transcripts
+        assert wrong.rewards.fast == 0.0 and wrong.rewards.slow == 1.0 and wrong.correct
+        assert right.rewards.fast == 1.0 and right.correct
 
     def test_in_process_backend_runs_inline(self):
         # threads would only add hand-offs to a backend that never waits
