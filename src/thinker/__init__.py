@@ -14,7 +14,6 @@ from .dataset import Dataset, QAItem, load_dataset, sample_batch
 from .grading import ExtractedAnswer, Verdict, answers_equal, extract_boxed, extract_verdict, normalize
 from .rewards import (
     RewardConfig,
-    StageRewards,
     TrailingAccuracy,
     reward_fast,
     reward_slow,
@@ -35,6 +34,7 @@ from .task import (
     Mode,
     Stage,
     StageBudgets,
+    StageRewards,
     Transcript,
     advance,
     begin_episode,

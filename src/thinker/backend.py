@@ -156,30 +156,30 @@ def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str) -> str:
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def wrong_answer(truth: str) -> str:
-    """A deterministic incorrect answer: truth+1 for numbers, suffix otherwise.
+    """A deterministic incorrect answer: truth+1 for numbers, suffix otherwise
+    (also when truth+1 has more digits than str() converts).
 
     Memoized like ExtractedAnswer.from_raw (same size and reasoning), since
     every wrong scripted answer would otherwise re-parse the truth.
     """
     value = parse_numeric(truth.strip())
     if value is not None:
-        bumped = value + 1
-        if bumped.denominator == 1:
-            return str(bumped.numerator)
-        return f"{bumped.numerator}/{bumped.denominator}"
+        try:
+            return str(value + 1)  # a Fraction prints as "n", or "n/d"
+        except ValueError:
+            pass
     return truth + "_wrong"
 
 
-def scripted_respond(stage: Stage, item, params: PolicyParams,
+def scripted_respond(stage: Stage, question_answer: str, params: PolicyParams,
                      rng_seed: int, fast_correct: bool | None = None,
                      slow_answer: str | None = None) -> str:
     """Compose one stage response for the scripted policy.
 
-    item is a QAItem (or bare answer string): the ground truth the simulated
-    agent targets. fast_correct drives the verification verdict and the
-    per-branch slow override; slow_answer is echoed by the summary stage.
+    question_answer is the ground truth the simulated agent targets.
+    fast_correct drives the verification verdict and the per-branch slow
+    override; slow_answer is echoed by the summary stage.
     """
-    question_answer = getattr(item, "answer", item)
     rng = random.Random(rng_seed)
     if stage is Stage.FAST_THINKING:
         correct = rng.random() < params.p_fast
@@ -371,5 +371,6 @@ class HttpBackend(Backend):
         if not isinstance(tokens, int) or tokens < 0:
             tokens = self.tokenizer(text)
         finish = choice.get("finish_reason")
-        finish = FINISH_LENGTH if finish == FINISH_LENGTH else FINISH_STOP
+        if not isinstance(finish, str) or not finish:
+            finish = FINISH_STOP  # the server gave none; other values are kept as sent
         return GenerationResult(text=text, token_count=tokens, finish_reason=finish)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import fmean, variance
 
 from .backend import Backend, GenerationRequest, derive_seed
@@ -20,14 +20,14 @@ from .dataset import Dataset
 from .errors import BackendError
 from .grading import answers_equal, extract_boxed
 from .rewards import RewardConfig
-from .rollout import run_all, run_episode, stage_request
-from .task import Mode, Stage, StageBudgets, advance, begin_episode, render_single_turn_prompt
+from .rollout import run_all, run_episode, stage_request, token_means
+from .task import (SINGLE_TURN, Mode, Stage, StageBudgets, Transcript, Turn, advance, begin_episode,
+                   render_single_turn_prompt)
 
 logger = logging.getLogger("thinker.eval")
 
 THINKER = "thinker"
 THINKER_FAST = "thinker_fast"
-SINGLE_TURN = "single_turn"
 EVAL_MODES = (THINKER, THINKER_FAST, SINGLE_TURN)
 
 
@@ -82,21 +82,7 @@ class BenchmarkReport:
     excluded_questions: list[str] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "mode": self.mode,
-            "k": self.k,
-            "num_questions": self.num_questions,
-            "overall_accuracy": self.overall_accuracy,
-            "stderr": self.stderr,
-            "mean_stage_tokens": self.mean_stage_tokens,
-            "mean_total_tokens": self.mean_total_tokens,
-            "mean_reflections": self.mean_reflections,
-            "reflections_per_1000_tokens": self.reflections_per_1000_tokens,
-            "failures": self.failures,
-            "excluded_questions": list(self.excluded_questions),
-            "per_question": self.per_question,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def render_table(self) -> str:
         lines = [
@@ -118,34 +104,40 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _sample(backend, item, mode, budgets, reward_cfg, single_turn_tokens, episode_seed):
-    """One sample: its correctness and (stage key, tokens, response) per
-    turn. A failed sample raises BackendError."""
+def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_tokens) -> Transcript:
+    """One graded sample. A backend failure marks it failed, as in run_episode."""
     if mode == THINKER:
-        transcript = run_episode(backend, item, Mode.INFERENCE, budgets,
-                                 seed=episode_seed, reward_cfg=reward_cfg)
-        if transcript.failed:
-            raise BackendError(transcript.error)
-        return transcript.correct, [(t.stage.key, t.token_count, t.response) for t in transcript.turns]
+        return run_episode(backend, item, Mode.INFERENCE, budgets,
+                           seed=episode_seed, reward_cfg=reward_cfg)
     if mode == THINKER_FAST:
+        transcript = begin_episode(item, Mode.INFERENCE, budgets)
         # the full episode's first request, so both modes share the fast seed
-        state = begin_episode(item, Mode.INFERENCE, budgets)
-        advance(state, backend.generate(stage_request(state, episode_seed)))
-        turn = state.turns[0]
-        correct = answers_equal(state.answers[Stage.FAST_THINKING], item.answer)
-        return correct, [(Stage.FAST_THINKING.key, turn.token_count, turn.response)]
-    request = GenerationRequest(
-        messages=({"role": "user", "content": render_single_turn_prompt(item)},),
-        max_tokens=single_turn_tokens,
-        temperature=budgets.temperature,
-        seed=derive_seed(episode_seed, SINGLE_TURN),
-        stage=None,
-        item_id=item.id,
-        reference_answer=item.answer,
-    )
-    result = backend.generate(request)
-    correct = answers_equal(extract_boxed(result.text), item.answer)
-    return correct, [(SINGLE_TURN, result.token_count, result.text)]
+        request = stage_request(transcript, episode_seed)
+    else:  # one turn outside the stages: nothing to route
+        transcript = Transcript(Mode.INFERENCE, item, budgets, stage=None)
+        request = GenerationRequest(
+            messages=({"role": "user", "content": render_single_turn_prompt(item)},),
+            max_tokens=single_turn_tokens,
+            temperature=budgets.temperature,
+            seed=derive_seed(episode_seed, SINGLE_TURN),
+            stage=None,
+            item_id=item.id,
+            reference_answer=item.answer,
+        )
+    try:
+        result = backend.generate(request)
+    except BackendError as exc:
+        transcript.failed = True
+        transcript.error = str(exc)
+        return transcript
+    if mode == THINKER_FAST:
+        answer = advance(transcript, result).answers[Stage.FAST_THINKING]
+    else:
+        transcript.turns.append(Turn(None, request.messages[0]["content"], result.text,
+                                     result.token_count, result.finish_reason))
+        answer = extract_boxed(result.text)
+    transcript.correct = answers_equal(answer, item.answer)
+    return transcript
 
 
 def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
@@ -169,49 +161,27 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     reward_cfg = reward_cfg or RewardConfig()
     vocab = vocab or ReflectionVocab()
 
-    def _one(spec):
-        """(correct, [(stage key, tokens)], reflections), or None on failure."""
-        item, j = spec
-        try:
-            correct, turns = _sample(backend, item, mode, budgets, reward_cfg,
-                                     single_turn_tokens, derive_seed(seed, item.id, j))
-        except BackendError:
-            return None
-        reflections = sum(count_reflections(text, vocab) for _, _, text in turns)
-        return correct, [(key, tokens) for key, tokens, _ in turns], reflections
+    specs = [(item, derive_seed(seed, item.id, j)) for item in dataset for j in range(k)]
+    samples = run_all(backend, lambda spec: _sample(
+        backend, *spec, mode, budgets, reward_cfg, single_turn_tokens), specs, parallelism)
 
-    specs = [(item, j) for item in dataset for j in range(k)]
-    outcomes = run_all(backend, _one, specs, parallelism)
-    by_question: dict[str, list] = {}
-    for (item, _), outcome in zip(specs, outcomes):
-        by_question.setdefault(item.id, []).append(outcome)
-
-    per_question, p_hats, excluded = [], [], []
-    failures = 0
-    usable = []
-    for item in dataset:
-        samples = by_question[item.id]
-        good = [s for s in samples if s is not None]
-        failures += len(samples) - len(good)
+    per_question, p_hats, excluded, usable = [], [], [], []
+    for i, item in enumerate(dataset):  # specs are item-major: k samples per question
+        good = [t for t in samples[i * k:(i + 1) * k] if not t.failed]
         if not good:
-            logger.warning("question %s: all %d samples failed; excluding", item.id, len(samples))
+            logger.warning("question %s: all %d samples failed; excluding", item.id, k)
             excluded.append(item.id)
             continue
         usable.extend(good)
-        p_hat = fmean(1.0 if correct else 0.0 for correct, _, _ in good)
+        p_hat = fmean(1.0 if t.correct else 0.0 for t in good)
         p_hats.append(p_hat)
         per_question.append({"id": item.id, "accuracy": p_hat, "samples": len(good)})
 
     if not p_hats:
         raise BackendError("every question failed on all samples")
-    stage_tokens: dict[str, list[int]] = {}
-    sample_tokens = []
-    for _, turns, _ in usable:
-        for key, tokens in turns:
-            stage_tokens.setdefault(key, []).append(tokens)
-        sample_tokens.append(sum(tokens for _, tokens in turns))
-    total_tokens = sum(sample_tokens)
-    total_reflections = sum(reflections for _, _, reflections in usable)
+    mean_stage_tokens, mean_total_tokens = token_means(usable)
+    reflections = [sum(count_reflections(turn.response, vocab) for turn in t.turns) for t in usable]
+    total_tokens = sum(t.total_tokens for t in usable)
     return BenchmarkReport(
         mode=mode,
         k=k,
@@ -219,10 +189,10 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         per_question=per_question,
         overall_accuracy=fmean(p_hats),
         stderr=standard_error(p_hats) if len(p_hats) >= 2 else None,
-        mean_stage_tokens={key: fmean(v) for key, v in stage_tokens.items()},
-        mean_total_tokens=fmean(sample_tokens),
-        mean_reflections=fmean(reflections for _, _, reflections in usable),
-        reflections_per_1000_tokens=(1000.0 * total_reflections / total_tokens) if total_tokens else 0.0,
-        failures=failures,
+        mean_stage_tokens=mean_stage_tokens,
+        mean_total_tokens=mean_total_tokens,
+        mean_reflections=fmean(reflections),
+        reflections_per_1000_tokens=(1000.0 * sum(reflections) / total_tokens) if total_tokens else 0.0,
+        failures=len(samples) - len(usable),
         excluded_questions=excluded,
     )

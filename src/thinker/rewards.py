@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from statistics import fmean
 
 from .grading import ExtractedAnswer, Verdict, answers_equal
-from .task import StageRewards  # noqa: F401  (defined beside Transcript, owned by this module's API)
 
 BATCH_MEAN = "batch_mean"
 EMA = "ema"

@@ -109,6 +109,17 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
     return transcript
 
 
+def token_means(transcripts: list[Transcript]) -> tuple[dict[str, float], float]:
+    """Mean tokens per turn key (a stage, or the one-shot baseline) over the
+    turns that have the key, and mean tokens per episode."""
+    stage_tokens: dict[str, list[int]] = {}
+    for t in transcripts:
+        for turn in t.turns:
+            stage_tokens.setdefault(turn.key, []).append(turn.token_count)
+    return ({key: fmean(v) for key, v in stage_tokens.items()},
+            fmean(t.total_tokens for t in transcripts))
+
+
 @dataclass
 class RolloutBatch:
     """All transcripts of one batch plus the statistics frozen at its barrier."""
@@ -170,17 +181,14 @@ def run_batch(backend: Backend, items: list[QAItem], mode: Mode, *,
         if t.verdict is not None:
             t.rewards.verify = reward_verify(t.rewards.fast == 1.0, t.verdict, trailing)
 
-    stage_tokens: dict[str, list[int]] = {}
-    for t in ok:
-        for turn in t.turns:
-            stage_tokens.setdefault(turn.stage.key, []).append(turn.token_count)
+    mean_stage_tokens, mean_total_tokens = token_means(ok)
     return RolloutBatch(
         transcripts=transcripts,
         trailing=trailing,
         fast_accuracy=fmean(fast_rewards),
         final_accuracy=fmean(1.0 if t.correct else 0.0 for t in ok),
-        mean_stage_tokens={k: fmean(v) for k, v in stage_tokens.items()},
-        mean_total_tokens=fmean(t.total_tokens for t in ok),
+        mean_stage_tokens=mean_stage_tokens,
+        mean_total_tokens=mean_total_tokens,
         failures=failures,
     )
 

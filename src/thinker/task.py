@@ -48,6 +48,10 @@ class Mode(Enum):
     INFERENCE = "inference"
 
 
+# Key of the one-shot baseline's only turn, which belongs to no stage.
+SINGLE_TURN = "single_turn"
+
+
 # The assistant turn for slow thinking opens with the think marker already in
 # place; generation continues after it. Chat backends cannot prefill
 # assistant text, so the marker is prepended when the turn is recorded.
@@ -118,13 +122,17 @@ class StageBudgets:
 
 @dataclass
 class Turn:
-    """One prompt/response exchange."""
+    """One prompt/response exchange; stage is None for a one-shot baseline."""
 
-    stage: Stage
+    stage: Stage | None
     prompt: str
     response: str
     token_count: int
     finish_reason: str
+
+    @property
+    def key(self) -> str:
+        return self.stage.key if self.stage is not None else SINGLE_TURN
 
     @property
     def truncated(self) -> bool:
@@ -156,7 +164,8 @@ class Transcript:
     begin_episode creates it and advance moves it stage by stage to
     terminal; single-writer while running. Once terminal the only later
     mutations are scoring and the batch barrier filling in the
-    verification reward.
+    verification reward. Eval's fast-only and one-shot samples are
+    recorded here too.
     """
 
     mode: Mode
@@ -203,8 +212,9 @@ class Transcript:
         return msgs
 
 
-# The running episode is the same record; the name stays for code that
-# looks up the episode state class.
+# The running episode is the same record. The benchmark's tracer
+# (benchmarks/tracing.py) reads this name when it is imported, so every
+# workload fails to load without it.
 EpisodeState = Transcript
 
 

@@ -20,7 +20,7 @@ from thinker.dataset import QAItem
 from thinker.errors import BackendError, LogprobUnsupportedError
 from thinker.grading import extract_boxed, extract_verdict, Verdict
 from thinker.rollout import run_batch
-from thinker.task import Mode, Stage
+from thinker.task import Mode, Stage, StageBudgets
 
 from mock_backend import MockBackend, MockFixtureError
 from stub_server import StubServer
@@ -139,6 +139,13 @@ class TestWrongAnswer:
         from thinker.grading import answers_equal
         for truth in ("7", "0", "-3", "1/2", "x", "yes"):
             assert not answers_equal(wrong_answer(truth), truth)
+
+    def test_bump_past_str_limit_falls_back_to_suffix(self):
+        # 4300 nines parse, but their successor has more digits than str() converts
+        from thinker.grading import answers_equal
+        truth = "9" * 4300
+        assert wrong_answer(truth) == truth + "_wrong"
+        assert not answers_equal(wrong_answer(truth), truth)
 
 
 class TestScriptedPolicy:
@@ -271,6 +278,26 @@ class TestHttpBackend:
             backend = HttpBackend(self.settings(stub.base_url))
             backend.generate(request())
             assert "authorization" not in stub.requests[0]["headers"]
+
+    @pytest.mark.parametrize("sent,recorded", [
+        ("content_filter", "content_filter"),
+        ("tool_calls", "tool_calls"),
+        (None, FINISH_STOP),
+        ("", FINISH_STOP),
+        (7, FINISH_STOP),
+        ("absent", FINISH_STOP),
+    ])
+    def test_finish_reason_kept_as_sent(self, sent, recorded):
+        choice = {"message": {"role": "assistant", "content": "a \\boxed{7}"}}
+        if sent != "absent":
+            choice["finish_reason"] = sent
+        with StubServer(lambda payload, i: {"choices": [choice]}) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            batch = run_batch(backend, [QAItem(id="q1", question="q", answer="7")],
+                              Mode.INFERENCE, seed=0, budgets=StageBudgets())
+        turn = batch.transcripts[0].turns[0]
+        assert turn.finish_reason == recorded
+        assert not turn.truncated
 
     def test_missing_usage_falls_back_to_tokenizer(self):
         body = {"choices": [{"message": {"role": "assistant", "content": "a b c"},

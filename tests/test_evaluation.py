@@ -13,6 +13,7 @@ from thinker.dataset import Dataset, QAItem
 from thinker.errors import BackendError
 from thinker.evaluation import (
     SINGLE_TURN,
+    _sample,
     THINKER,
     THINKER_FAST,
     ReflectionVocab,
@@ -20,7 +21,8 @@ from thinker.evaluation import (
     evaluate,
     standard_error,
 )
-from thinker.task import Stage, StageBudgets
+from thinker.rewards import RewardConfig
+from thinker.task import Stage, StageBudgets, Transcript
 
 from conftest import fixture_map
 from mock_backend import MockBackend, PooledScriptedBackend
@@ -158,12 +160,14 @@ class TestEvaluate:
         assert pooled.threads and threading.get_ident() not in pooled.threads
         assert a.to_dict() == b.to_dict()
 
-    def test_failed_question_excluded_with_warning(self, caplog):
+    @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
+    def test_failed_question_excluded_with_warning(self, caplog, mode):
         items = make_dataset(2)
         fixtures = fixture_map("e0", "\\boxed{1}", "\\boxed{Yes}")  # e1 missing
+        fixtures[(None, "e0")] = "\\boxed{1}"
         backend = MockBackend(fixtures)
         with caplog.at_level("WARNING", logger="thinker.eval"):
-            report = evaluate(backend, items, THINKER, k=2, seed=0)
+            report = evaluate(backend, items, mode, k=2, seed=0)
         assert report.num_questions == 1
         assert report.excluded_questions == ["e1"]
         assert report.failures == 2
@@ -190,6 +194,35 @@ class TestEvaluate:
         assert 0.0 <= payload["overall_accuracy"] <= 1.0
         assert "fast_thinking" in payload["mean_stage_tokens"]
         assert report.render_table()
+
+
+class TestSampleRecord:
+    """Every mode yields one graded Transcript, so one reducer serves all."""
+
+    FIXTURES = {**fixture_map("e0", "\\boxed{1}", "\\boxed{Yes}"), (None, "e0"): "wait \\boxed{1}"}
+
+    @pytest.mark.parametrize("mode,keys", [
+        (THINKER, ["fast_thinking", "verification"]),
+        (THINKER_FAST, ["fast_thinking"]),
+        (SINGLE_TURN, ["single_turn"]),
+    ])
+    def test_each_mode_yields_a_transcript(self, mode, keys):
+        t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
+                    RewardConfig(), 8000)
+        assert isinstance(t, Transcript)
+        assert [turn.key for turn in t.turns] == keys
+        assert t.correct is True and not t.failed
+
+    @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
+    def test_backend_failure_marks_failed(self, mode):
+        t = _sample(MockBackend({}), make_dataset(1).items[0], 5, mode, StageBudgets(), RewardConfig(), 8000)
+        assert t.failed and "no fixture" in t.error
+        assert t.turns == []
+
+    def test_reflections_counted_from_turn_responses(self):
+        report = evaluate(MockBackend(self.FIXTURES), make_dataset(1), SINGLE_TURN, k=2, seed=0)
+        assert report.mean_reflections == 1.0
+        assert report.mean_stage_tokens == {"single_turn": 2.0}
 
 
 class TestThinkerBeatsFastWhenVerifierAcceptsCorrect:

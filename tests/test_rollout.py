@@ -182,6 +182,15 @@ class TestRunBatch:
         assert wrong.rewards.fast == 0.0 and wrong.rewards.slow == 1.0 and wrong.correct
         assert right.rewards.fast == 1.0 and right.correct
 
+    def test_unbumpable_truth_does_not_abort_batch(self):
+        # every fast and slow answer is wrong; truth+1 has more digits than str() converts
+        item = QAItem(id="nines", question="q", answer="9" * 4300)
+        backend = ScriptedPolicyBackend(PolicyParams(p_fast=0.0, p_slow=0.0))
+        batch = run_batch(backend, [item], Mode.TRAINING, seed=0, samples_per_prompt=2)
+        assert batch.failures == 0
+        for t in batch.transcripts:
+            assert t.rewards.fast == 0.0 and not t.correct
+
     def test_in_process_backend_runs_inline(self):
         # threads would only add hand-offs to a backend that never waits
         backend = RecordingScriptedBackend()

@@ -10,6 +10,7 @@ from thinker.task import (
     Mode,
     Stage,
     StageBudgets,
+    Turn,
     advance,
     begin_episode,
     render_prompt,
@@ -245,3 +246,9 @@ def test_verdict_recorded(item):
     advance(state, reply("\\boxed{7}"))
     advance(state, reply("\\boxed{No}"))
     assert state.verdict is Verdict.NO
+
+
+class TestTurnKey:
+    def test_stage_key_or_single_turn(self):
+        assert Turn(Stage.SLOW_THINKING, "p", "r", 1, "stop").key == "slow_thinking"
+        assert Turn(None, "p", "r", 1, "stop").key == "single_turn"
