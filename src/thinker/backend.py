@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import os
 import random
 import time
@@ -145,13 +144,23 @@ _FILLER = ("Working", "through", "the", "given", "quantities", "step", "by", "st
 _SLOW_FILLER = ("However,", "the", "earlier", "approach", "missed", "a", "case;", "reworking", "it", "now.")
 
 
-def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str) -> str:
-    """Exactly total_tokens whitespace tokens ending with *tail*."""
-    tail_len = len(tail.split())
-    pad = max(total_tokens - tail_len, 0)
-    words = list(itertools.islice(itertools.cycle(lead_words), pad))
-    words.append(tail)
-    return " ".join(words)
+def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str,
+            max_tokens: int) -> GenerationResult:
+    """total_tokens whitespace tokens (or the tail's, if more) ending with
+    *tail*, clipped to max_tokens word for word as truncate_to_budget clips.
+    Lead words hold no whitespace, so the count is known before any text is
+    built, and the filler is joined from whole cycles of lead_words."""
+    tail_words = tail.split()
+    pad = max(total_tokens - len(tail_words), 0)
+    count = pad + len(tail_words)
+    if count > max_tokens:
+        pad = min(pad, max_tokens)
+        tail = " ".join(tail_words[:max_tokens - pad])
+    cycles, rest = divmod(pad, len(lead_words))
+    parts = [" ".join(lead_words)] * cycles + [" ".join(lead_words[:rest]), tail]
+    text = " ".join(filter(None, parts))  # skip an empty last cycle or a clipped-away tail
+    finish = FINISH_LENGTH if count > max_tokens else FINISH_STOP
+    return GenerationResult(text, min(count, max_tokens), finish)
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -172,9 +181,10 @@ def wrong_answer(truth: str) -> str:
 
 
 def scripted_respond(stage: Stage, question_answer: str, params: PolicyParams,
-                     rng_seed: int, fast_correct: bool | None = None,
-                     slow_answer: str | None = None) -> str:
-    """Compose one stage response for the scripted policy.
+                     rng_seed: int, max_tokens: int, fast_correct: bool | None = None,
+                     slow_answer: str | None = None) -> GenerationResult:
+    """Compose one stage response for the scripted policy, clipped to
+    max_tokens.
 
     question_answer is the ground truth the simulated agent targets.
     fast_correct drives the verification verdict and the per-branch slow
@@ -185,7 +195,7 @@ def scripted_respond(stage: Stage, question_answer: str, params: PolicyParams,
         correct = rng.random() < params.p_fast
         answer = question_answer if correct else wrong_answer(question_answer)
         tail = f"The final answer is \\boxed{{{answer}}}."
-        return _padded(_FILLER, params.fast_tokens, tail)
+        return _padded(_FILLER, params.fast_tokens, tail, max_tokens)
     if stage is Stage.VERIFICATION:
         if fast_correct is None:
             raise ValueError("verification response needs fast_correct")
@@ -194,7 +204,7 @@ def scripted_respond(stage: Stage, question_answer: str, params: PolicyParams,
         else:
             verdict = "No" if rng.random() < params.t_n else "Yes"
         tail = f"\\boxed{{{verdict}}}"
-        return _padded(_FILLER, params.verify_tokens, tail)
+        return _padded(_FILLER, params.verify_tokens, tail, max_tokens)
     if stage is Stage.SLOW_THINKING:
         p_slow = params.p_slow
         if fast_correct and params.p_slow_given_fast_correct is not None:
@@ -202,11 +212,11 @@ def scripted_respond(stage: Stage, question_answer: str, params: PolicyParams,
         correct = rng.random() < p_slow
         answer = question_answer if correct else wrong_answer(question_answer)
         tail = f"</think> The refined answer is \\boxed{{{answer}}}."
-        return _padded(_SLOW_FILLER, params.slow_tokens, tail)
+        return _padded(_SLOW_FILLER, params.slow_tokens, tail, max_tokens)
     # summarization: restate the slow answer at the configured length
     answer = slow_answer if slow_answer is not None else question_answer
     tail = f"The final answer is \\boxed{{{answer}}}."
-    return _padded(_FILLER, params.summary_tokens, tail)
+    return _padded(_FILLER, params.summary_tokens, tail, max_tokens)
 
 
 class ScriptedPolicyBackend(Backend):
@@ -237,16 +247,15 @@ class ScriptedPolicyBackend(Backend):
         # one-shot requests (no stage) behave like fast thinking
         stage = request.stage if request.stage is not None else Stage.FAST_THINKING
         seed = request.seed if request.seed is not None else 0
-        text = scripted_respond(
+        return scripted_respond(
             stage,
             request.reference_answer,
             self.params,
             rng_seed=seed,
+            max_tokens=request.max_tokens,
             fast_correct=self._fast_correct(request) if stage in (Stage.VERIFICATION, Stage.SLOW_THINKING) else None,
             slow_answer=self._slow_answer(request) if stage is Stage.SUMMARIZATION else None,
         )
-        text, tokens, finish = truncate_to_budget(text, request.max_tokens)
-        return GenerationResult(text=text, token_count=tokens, finish_reason=finish)
 
     def score_logprob(self, prompt_messages, completion_text: str) -> float:
         return self.params.logprob_per_token * count_tokens(completion_text)

@@ -60,11 +60,11 @@ def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
     for turn in transcript.turns:
         if turn.stage is Stage.VERIFICATION:
             extracted = transcript.verdict.value if transcript.verdict else None
-        else:
-            answer = transcript.answers.get(turn.stage)
+        else:  # a one-shot turn has no stage, so its answer is read from the response
+            answer = transcript.answers.get(turn.stage) if turn.stage else extract_boxed(turn.response)
             extracted = answer.raw if answer else None
         stages.append({
-            "stage": turn.stage.key,
+            "stage": turn.key,
             "prompt": turn.prompt,
             "response": turn.response,
             "token_count": turn.token_count,
@@ -273,7 +273,7 @@ def _render_transcript(transcript: Transcript, cfg_hash: str) -> str:
     for turn in transcript.turns:
         reward = transcript.rewards.for_stage(turn.stage)
         reward_str = f"{reward:.4f}" if reward is not None else "-"
-        lines.append(f"\n[{turn.stage.key}] tokens={turn.token_count} "
+        lines.append(f"\n[{turn.key}] tokens={turn.token_count} "
                      f"finish={turn.finish_reason} reward={reward_str}")
         lines.append(f"  prompt   | {turn.prompt}")
         lines.append(f"  response | {turn.response}")
@@ -281,7 +281,8 @@ def _render_transcript(transcript: Transcript, cfg_hash: str) -> str:
         lines.append(f"\nFAILED: {transcript.error}")
     else:
         answer = transcript.final_answer.raw if transcript.final_answer else "<no box>"
-        lines.append(f"\nfinal: stage={transcript.final_stage.key} "
+        stage = transcript.final_stage.key if transcript.final_stage else "-"  # eval samples may have none
+        lines.append(f"\nfinal: stage={stage} "
                      f"answer={answer!r} correct={transcript.correct}")
     return "\n".join(lines)
 

@@ -74,10 +74,9 @@ def extract_boxed(text: str) -> ExtractedAnswer | None:
     Braces nest; an unbalanced final box falls back to the previous balanced
     one. Returns None when no balanced box exists. Total on arbitrary input.
     """
-    if not text:
-        return None
-    starts = [m.start() for m in re.finditer(re.escape(_BOXED), text)]
-    for start in reversed(starts):
+    start = len(text)
+    # last box first; \boxed cannot overlap itself, so no search skips a box
+    while (start := text.rfind(_BOXED, 0, start)) >= 0:
         i = start + len(_BOXED)
         while i < len(text) and text[i].isspace():
             i += 1

@@ -148,13 +148,13 @@ class StageRewards:
     slow: float | None = None
     summary: float | None = None
 
-    def for_stage(self, stage: Stage) -> float | None:
+    def for_stage(self, stage: Stage | None) -> float | None:
         return {
             Stage.FAST_THINKING: self.fast,
             Stage.VERIFICATION: self.verify,
             Stage.SLOW_THINKING: self.slow,
             Stage.SUMMARIZATION: self.summary,
-        }[stage]
+        }.get(stage)  # None for a one-shot turn, which has no stage
 
 
 @dataclass

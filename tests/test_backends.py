@@ -1,6 +1,8 @@
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thinker.backend import (
     FINISH_LENGTH,
@@ -148,40 +150,63 @@ class TestWrongAnswer:
         assert not answers_equal(wrong_answer(truth), truth)
 
 
+# a budget no scripted stage reaches, so responses come back unclipped
+BUDGET = 8000
+
+
 class TestScriptedPolicy:
     def test_fast_certain_correct(self):
-        text = scripted_respond(Stage.FAST_THINKING, "7", PolicyParams(p_fast=1.0), rng_seed=5)
+        text = scripted_respond(Stage.FAST_THINKING, "7", PolicyParams(p_fast=1.0), rng_seed=5, max_tokens=BUDGET).text
         assert extract_boxed(text).raw == "7"
 
     def test_fast_certain_wrong(self):
-        text = scripted_respond(Stage.FAST_THINKING, "7", PolicyParams(p_fast=0.0), rng_seed=5)
+        text = scripted_respond(Stage.FAST_THINKING, "7", PolicyParams(p_fast=0.0), rng_seed=5, max_tokens=BUDGET).text
         assert extract_boxed(text).raw == "8"
 
     def test_fast_exact_token_count(self):
         params = PolicyParams(fast_tokens=37)
-        text = scripted_respond(Stage.FAST_THINKING, "7", params, rng_seed=1)
+        text = scripted_respond(Stage.FAST_THINKING, "7", params, rng_seed=1, max_tokens=BUDGET).text
         assert count_tokens(text) == 37
 
     def test_verify_yes_when_correct_and_tp_one(self):
         text = scripted_respond(Stage.VERIFICATION, "7", PolicyParams(t_p=1.0),
-                                rng_seed=2, fast_correct=True)
+                                rng_seed=2, max_tokens=BUDGET, fast_correct=True).text
         assert extract_verdict(text) is Verdict.YES
 
     def test_verify_no_when_wrong_and_tn_one(self):
         text = scripted_respond(Stage.VERIFICATION, "7", PolicyParams(t_n=1.0),
-                                rng_seed=2, fast_correct=False)
+                                rng_seed=2, max_tokens=BUDGET, fast_correct=False).text
         assert extract_verdict(text) is Verdict.NO
 
     def test_verify_requires_fast_correct(self):
         with pytest.raises(ValueError):
-            scripted_respond(Stage.VERIFICATION, "7", PolicyParams(), rng_seed=0)
+            scripted_respond(Stage.VERIFICATION, "7", PolicyParams(), rng_seed=0, max_tokens=BUDGET)
 
     def test_summary_echoes_slow_answer_at_length(self):
         params = PolicyParams(summary_tokens=350)
-        text = scripted_respond(Stage.SUMMARIZATION, "7", params, rng_seed=3,
-                                slow_answer="42")
+        text = scripted_respond(Stage.SUMMARIZATION, "7", params, rng_seed=3, max_tokens=BUDGET,
+                                slow_answer="42").text
         assert count_tokens(text) == 350
         assert extract_boxed(text).raw == "42"
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_clipped_response_is_truncated_full_response(self, data):
+        answers = st.text(alphabet="7x/ \t\n", min_size=1, max_size=8)
+        stage = data.draw(st.sampled_from(list(Stage)))
+        fast, verify, slow, summary = data.draw(st.tuples(*[st.integers(8, 60)] * 4))
+        params = PolicyParams(fast_tokens=fast, verify_tokens=verify, slow_tokens=slow,
+                              summary_tokens=summary)
+        kwargs = dict(rng_seed=data.draw(st.integers(0, 2 ** 32)),
+                      fast_correct=data.draw(st.booleans()),
+                      slow_answer=data.draw(st.none() | answers))
+        answer = data.draw(answers)
+        full = scripted_respond(stage, answer, params, max_tokens=BUDGET, **kwargs)
+        assert (full.token_count, full.finish_reason) == (count_tokens(full.text), FINISH_STOP)
+        budget = data.draw(st.integers(1, full.token_count + 3))
+        clipped = scripted_respond(stage, answer, params, max_tokens=budget, **kwargs)
+        assert (clipped.text, clipped.token_count, clipped.finish_reason) == \
+            truncate_to_budget(full.text, budget)
 
     def test_deterministic_given_seed(self):
         backend = ScriptedPolicyBackend(PolicyParams(p_fast=0.5))
@@ -228,7 +253,7 @@ class TestScriptedPolicy:
         params = PolicyParams(p_fast=p)
         hits = 0
         for i in range(n):
-            text = scripted_respond(Stage.FAST_THINKING, "7", params, rng_seed=i)
+            text = scripted_respond(Stage.FAST_THINKING, "7", params, rng_seed=i, max_tokens=BUDGET).text
             hits += extract_boxed(text).raw == "7"
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(hits / n - p) < 3 * sigma

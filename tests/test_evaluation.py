@@ -9,6 +9,7 @@ from thinker.backend import (
     PolicyParams,
     ScriptedPolicyBackend,
 )
+from thinker.cli import _render_transcript, transcript_record
 from thinker.dataset import Dataset, QAItem
 from thinker.errors import BackendError
 from thinker.evaluation import (
@@ -212,6 +213,22 @@ class TestSampleRecord:
         assert isinstance(t, Transcript)
         assert [turn.key for turn in t.turns] == keys
         assert t.correct is True and not t.failed
+
+    @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
+    def test_each_mode_serializes(self, mode):
+        t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
+                    RewardConfig(), 8000)
+        record = transcript_record(t, "cfg")
+        assert [s["stage"] for s in record["stages"]] == [turn.key for turn in t.turns]
+        assert record["stages"][0]["extracted"] == "1"
+        text = _render_transcript(t, "cfg")
+        assert all(f"[{turn.key}]" in text for turn in t.turns)
+
+    def test_single_turn_record_has_no_stage_reward(self):
+        t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, SINGLE_TURN,
+                    StageBudgets(), RewardConfig(), 8000)
+        assert transcript_record(t, "cfg")["stages"][0]["reward"] is None
+        assert "reward=-" in _render_transcript(t, "cfg")
 
     @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
     def test_backend_failure_marks_failed(self, mode):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,40 @@ from thinker.grading import (
 )
 
 
+def _extract_boxed_finditer(text):
+    """extract_boxed as it was before it scanned from the end: list every
+    box start with re.finditer, then try them last first."""
+    if not text:
+        return None
+    starts = [m.start() for m in re.finditer(re.escape("\\boxed"), text)]
+    for start in reversed(starts):
+        i = start + len("\\boxed")
+        while i < len(text) and text[i].isspace():
+            i += 1
+        if i >= len(text) or text[i] != "{":
+            continue
+        depth = 1
+        i += 1
+        content_start = i
+        while i < len(text):
+            ch = text[i]
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    return ExtractedAnswer.from_raw(text[content_start:i])
+            i += 1
+    return None
+
+
 class TestExtractBoxed:
+    @given(st.lists(st.sampled_from(["\\boxed", "\\boxed ", "{", "}", "7", "x", " ", "\\box", "ed"]),
+                    max_size=30).map("".join))
+    @settings(max_examples=1000)
+    def test_matches_finditer_reference(self, text):
+        assert extract_boxed(text) == _extract_boxed_finditer(text)
+
     def test_plain_box(self):
         got = extract_boxed("The perimeter of the pool is \\boxed{18 - 4\\sqrt{3}} meters.")
         assert got is not None

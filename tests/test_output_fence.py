@@ -1,8 +1,9 @@
 """Byte-identical outputs for a fixed seed and config.
 
-The digests were recorded before eval samples became transcripts and before
-batch and eval shared one token reducer; a refactor that changes a report or
-a transcript file by one byte fails here.
+The digests were recorded before eval samples became transcripts, before
+batch and eval shared one token reducer, and (the clipped batches) before the
+scripted policy composed its responses already clipped to the stage budget;
+a refactor that changes a report or a transcript file by one byte fails here.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from thinker.cli import write_transcripts
 from thinker.evaluation import SINGLE_TURN, THINKER, THINKER_FAST, evaluate
 from thinker.rollout import run_batch
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
-from thinker.task import Mode
+from thinker.task import Mode, StageBudgets
 
 POLICY = PolicyParams(p_fast=0.4, t_p=0.8, t_n=0.7, p_slow=0.6)
 
@@ -49,3 +50,20 @@ def test_training_batch_bytes(tmp_path):
              "failures": batch.failures}
     assert _sha(json.dumps(stats, sort_keys=True).encode("utf-8")) == \
         "0f773126461fbef49c76914973debbe79aca803543968ce8d57334f819ecc153"
+
+
+@pytest.mark.parametrize("budgets,digest", [
+    # fast and slow clipped inside their closing sentence, verify inside the filler
+    (StageBudgets(fast_tokens=117, verify_tokens=40, slow_tokens=398, summary_tokens=200),
+     "19763f91ddb247d3b1d321062b8f08a6935a4545c0c18ec275109fc8fba44cbf"),
+    # slow exactly at its budget, so summaries run and are clipped inside the filler
+    (StageBudgets(fast_tokens=117, verify_tokens=40, slow_tokens=400, summary_tokens=200),
+     "c95b9a44cee6524e7c5e32a44536113536c681cacd03dad1d49d7abefbcc6051"),
+])
+def test_clipped_training_batch_bytes(tmp_path, budgets, digest):
+    batch = run_batch(ScriptedPolicyBackend(POLICY), list(_dataset()), Mode.TRAINING,
+                      seed=5, samples_per_prompt=4, budgets=budgets)
+    assert any(turn.finish_reason == "length" for t in batch.transcripts for turn in t.turns)
+    path = tmp_path / "batch.jsonl"
+    write_transcripts(str(path), batch.transcripts, "fence")
+    assert _sha(path.read_bytes()) == digest
