@@ -147,20 +147,17 @@ _SLOW_FILLER = ("However,", "the", "earlier", "approach", "missed", "a", "case;"
 def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str,
             max_tokens: int) -> GenerationResult:
     """total_tokens whitespace tokens (or the tail's, if more) ending with
-    *tail*, clipped to max_tokens word for word as truncate_to_budget clips.
-    Lead words hold no whitespace, so the count is known before any text is
-    built, and the filler is joined from whole cycles of lead_words."""
-    tail_words = tail.split()
-    pad = max(total_tokens - len(tail_words), 0)
-    count = pad + len(tail_words)
-    if count > max_tokens:
-        pad = min(pad, max_tokens)
-        tail = " ".join(tail_words[:max_tokens - pad])
+    *tail*, clipped to max_tokens by truncate_to_budget. Lead words hold no
+    whitespace, so the count is known without splitting the text, and the
+    filler is joined from whole cycles of lead_words."""
+    tail_len = len(tail.split())
+    pad = max(total_tokens - tail_len, 0)
     cycles, rest = divmod(pad, len(lead_words))
     parts = [" ".join(lead_words)] * cycles + [" ".join(lead_words[:rest]), tail]
-    text = " ".join(filter(None, parts))  # skip an empty last cycle or a clipped-away tail
-    finish = FINISH_LENGTH if count > max_tokens else FINISH_STOP
-    return GenerationResult(text, min(count, max_tokens), finish)
+    text = " ".join(filter(None, parts))  # skip an empty last cycle
+    if pad + tail_len > max_tokens:
+        return GenerationResult(*truncate_to_budget(text, max_tokens))
+    return GenerationResult(text, pad + tail_len, FINISH_STOP)
 
 
 @functools.lru_cache(maxsize=PARSE_CACHE_SIZE)

@@ -61,7 +61,7 @@ def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
         if turn.stage is Stage.VERIFICATION:
             extracted = transcript.verdict.value if transcript.verdict else None
         else:  # a one-shot turn has no stage, so its answer is read from the response
-            answer = transcript.answers.get(turn.stage) if turn.stage else extract_boxed(turn.response)
+            answer = transcript.answers.get(turn.stage) if turn.stage is not None else extract_boxed(turn.response)
             extracted = answer.raw if answer else None
         stages.append({
             "stage": turn.key,

@@ -2,7 +2,7 @@
 
 The digests were recorded before eval samples became transcripts, before
 batch and eval shared one token reducer, and (the clipped batches) before the
-scripted policy composed its responses already clipped to the stage budget;
+scripted policy counted its responses' tokens without splitting their text;
 a refactor that changes a report or a transcript file by one byte fails here.
 """
 
