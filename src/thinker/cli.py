@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import yaml
@@ -53,16 +54,17 @@ EXIT_IO = 5
 def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
     """Flatten one transcript into the versioned JSONL record schema.
 
-    Deliberately excludes wall-clock metadata so identical runs serialize
-    byte-identically.
+    Adds the credit-assignment view (boundaries, stage_rewards) once every
+    executed stage has its reward. Deliberately excludes wall-clock metadata
+    so identical runs serialize byte-identically.
     """
     stages = []
     for turn in transcript.turns:
         if turn.stage is Stage.VERIFICATION:
             extracted = transcript.verdict.value if transcript.verdict else None
-        else:  # a one-shot turn has no stage, so its answer is read from the response
-            answer = transcript.answers.get(turn.stage) if turn.stage is not None else extract_boxed(turn.response)
-            extracted = answer.raw if answer else None
+        else:
+            answer = transcript.answers.get(turn.stage)
+            extracted = answer.raw if answer is not None else None
         stages.append({
             "stage": turn.key,
             "prompt": turn.prompt,
@@ -72,7 +74,7 @@ def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
             "extracted": extracted,
             "reward": transcript.rewards.for_stage(turn.stage),
         })
-    return {
+    record = {
         "schema_version": TRANSCRIPT_SCHEMA_VERSION,
         "episode_id": transcript.episode_id,
         "mode": transcript.mode.value,
@@ -89,17 +91,12 @@ def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
         "summary_logprob": transcript.summary_logprob,
         "logprob_available": transcript.logprob_available,
     }
-
-
-def _record_with_returns(transcript: Transcript, cfg_hash: str) -> dict:
-    record = transcript_record(transcript, cfg_hash)
-    if not transcript.failed:
-        try:
-            traj = Trajectory.from_transcript(transcript)
-        except ValueError:
-            return record  # verify reward not filled (single unbatched episodes)
-        record["boundaries"] = list(traj.boundaries)
-        record["stage_rewards"] = list(traj.stage_rewards)
+    try:
+        traj = Trajectory.from_transcript(transcript)
+    except ValueError:  # failed, or a reward not filled (eval samples, unbatched episodes)
+        return record
+    record["boundaries"] = list(traj.boundaries)
+    record["stage_rewards"] = list(traj.stage_rewards)
     return record
 
 
@@ -110,7 +107,7 @@ def dump_record(record: dict) -> str:
 def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for transcript in transcripts:
-            fh.write(dump_record(_record_with_returns(transcript, cfg_hash)))
+            fh.write(dump_record(transcript_record(transcript, cfg_hash)))
             fh.write("\n")
 
 
@@ -237,6 +234,8 @@ def _cmd_grade(args, cfg: EngineConfig) -> int:
             response, answer = record[response_field], record[answer_field]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DatasetError(f"stdin line {line_no}: bad record ({exc})") from exc
+        if not (isinstance(response, str) and isinstance(answer, str)):
+            raise DatasetError(f"stdin line {line_no}: {response_field}/{answer_field} must be strings")
         boxed = extract_boxed(response)
         out = {
             "extracted": boxed.raw if boxed else None,
@@ -264,26 +263,26 @@ def _pick_item(args) -> QAItem:
     return dataset.items[args.index]
 
 
-def _render_transcript(transcript: Transcript, cfg_hash: str) -> str:
+def _render_transcript(record: dict) -> str:
+    """The text view of one transcript record."""
     lines = [
-        f"episode {transcript.episode_id}  mode={transcript.mode.value}  "
-        f"item={transcript.item.id}  seed={transcript.seed}  "
-        f"backend={transcript.backend_id}  config={cfg_hash}"
+        f"episode {record['episode_id']}  mode={record['mode']}  "
+        f"item={record['item_id']}  seed={record['seed']}  "
+        f"backend={record['backend']}  config={record['config_hash']}"
     ]
-    for turn in transcript.turns:
-        reward = transcript.rewards.for_stage(turn.stage)
+    for turn in record["stages"]:
+        reward = turn["reward"]
         reward_str = f"{reward:.4f}" if reward is not None else "-"
-        lines.append(f"\n[{turn.key}] tokens={turn.token_count} "
-                     f"finish={turn.finish_reason} reward={reward_str}")
-        lines.append(f"  prompt   | {turn.prompt}")
-        lines.append(f"  response | {turn.response}")
-    if transcript.failed:
-        lines.append(f"\nFAILED: {transcript.error}")
+        lines.append(f"\n[{turn['stage']}] tokens={turn['token_count']} "
+                     f"finish={turn['finish_reason']} reward={reward_str}")
+        lines.append(f"  prompt   | {turn['prompt']}")
+        lines.append(f"  response | {turn['response']}")
+    if record["failed"]:
+        lines.append(f"\nFAILED: {record['error']}")
     else:
-        answer = transcript.final_answer.raw if transcript.final_answer else "<no box>"
-        stage = transcript.final_stage.key if transcript.final_stage else "-"  # eval samples may have none
-        lines.append(f"\nfinal: stage={stage} "
-                     f"answer={answer!r} correct={transcript.correct}")
+        answer = record["final_answer"] if record["final_answer"] is not None else "<no box>"
+        stage = record["final_stage"] or "-"  # a one-shot sample has no stage
+        lines.append(f"\nfinal: stage={stage} answer={answer!r} correct={record['correct']}")
     return "\n".join(lines)
 
 
@@ -295,11 +294,8 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
         budgets=cfg.budgets, seed=args.seed, reward_cfg=cfg.rewards,
         trailing=0.5,
     )
-    cfg_hash = config_hash(cfg)
-    if args.json:
-        print(dump_record(transcript_record(transcript, cfg_hash)))
-    else:
-        print(_render_transcript(transcript, cfg_hash))
+    record = transcript_record(transcript, config_hash(cfg))
+    print(dump_record(record) if args.json else _render_transcript(record))
     return EXIT_BACKEND if transcript.failed else EXIT_OK
 
 
@@ -357,8 +353,8 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
         payload["seed"] = args.seed
         out = args.out
         if len(modes) > 1:
-            stem, dot, suffix = args.out.rpartition(".")
-            out = f"{stem}.{mode}{dot}{suffix}" if dot else f"{args.out}.{mode}"
+            stem, suffix = os.path.splitext(args.out)  # the file name's suffix only
+            out = f"{stem}.{mode}{suffix}"
         with open(out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, sort_keys=True, ensure_ascii=False, indent=2)
             fh.write("\n")

@@ -21,7 +21,8 @@ from .errors import BackendError
 from .grading import answers_equal, extract_boxed
 from .rewards import RewardConfig
 from .rollout import run_all, run_episode, stage_request, token_means
-from .task import (SINGLE_TURN, Mode, Stage, StageBudgets, Transcript, Turn, advance, begin_episode,
+# advance is unused here, but the benchmark's tracer patches evaluation.advance
+from .task import (SINGLE_TURN, Mode, StageBudgets, Transcript, Turn, advance, begin_episode,
                    render_single_turn_prompt)
 
 logger = logging.getLogger("thinker.eval")
@@ -130,13 +131,15 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
         transcript.failed = True
         transcript.error = str(exc)
         return transcript
-    if mode == THINKER_FAST:
-        answer = advance(transcript, result).answers[Stage.FAST_THINKING]
-    else:
-        transcript.turns.append(Turn(None, request.messages[0]["content"], result.text,
-                                     result.token_count, result.finish_reason))
-        answer = extract_boxed(result.text)
-    transcript.correct = answers_equal(answer, item.answer)
+    # One turn, then terminal. The fast stage has no response seed, so this
+    # records what advance would, without rendering the verification prompt.
+    stage = request.stage
+    transcript.turns.append(Turn(stage, request.messages[0]["content"], result.text,
+                                 result.token_count, result.finish_reason))
+    transcript.answers[stage] = extract_boxed(result.text)
+    transcript.stage = transcript.pending_prompt = None
+    transcript.final_stage = stage
+    transcript.correct = answers_equal(transcript.final_answer, item.answer)
     return transcript
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from statistics import fmean
 
 from .backend import Backend, GenerationRequest, derive_seed
@@ -199,7 +200,7 @@ class Trajectory:
 
     stage_token_counts: tuple[int, ...]
     stage_rewards: tuple[float, ...]
-    boundaries: tuple[int, ...] = field(default=())
+    boundaries: tuple[int, ...] = field(init=False)  # cumulative token counts
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "stage_token_counts", tuple(self.stage_token_counts))
@@ -210,14 +211,7 @@ class Trajectory:
             raise ValueError("stage token counts must be positive")
         if len(self.stage_rewards) != len(self.stage_token_counts):
             raise ValueError("one reward per stage required")
-        cumulative, total = [], 0
-        for count in self.stage_token_counts:
-            total += count
-            cumulative.append(total)
-        expected = tuple(cumulative)
-        if self.boundaries and tuple(self.boundaries) != expected:
-            raise ValueError("boundaries inconsistent with stage token counts")
-        object.__setattr__(self, "boundaries", expected)
+        object.__setattr__(self, "boundaries", tuple(accumulate(self.stage_token_counts)))
 
     @property
     def total_tokens(self) -> int:
@@ -236,7 +230,7 @@ class Trajectory:
         for turn in transcript.turns:
             reward = transcript.rewards.for_stage(turn.stage)
             if reward is None:
-                raise ValueError(f"reward for {turn.stage.key} not filled yet")
+                raise ValueError(f"reward for {turn.key} not filled yet")
             counts.append(max(turn.token_count, 1))
             rewards.append(reward)
         return cls(stage_token_counts=tuple(counts), stage_rewards=tuple(rewards))

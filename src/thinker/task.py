@@ -165,7 +165,8 @@ class Transcript:
     terminal; single-writer while running. Once terminal the only later
     mutations are scoring and the batch barrier filling in the
     verification reward. Eval's fast-only and one-shot samples are
-    recorded here too.
+    recorded here too and end after their one turn; the one-shot answer is
+    keyed by its turn's stage, None.
     """
 
     mode: Mode
@@ -177,7 +178,7 @@ class Transcript:
     stage: Stage | None = Stage.FAST_THINKING
     pending_prompt: str | None = None
     turns: list[Turn] = field(default_factory=list)
-    answers: dict[Stage, ExtractedAnswer | None] = field(default_factory=dict)
+    answers: dict[Stage | None, ExtractedAnswer | None] = field(default_factory=dict)
     verdict: Verdict | None = None
     final_stage: Stage | None = None
     correct: bool | None = None
@@ -268,29 +269,20 @@ def advance(state: Transcript, result) -> Transcript:
     else:
         state.answers[stage] = extract_boxed(full_text)
 
+    training = state.mode is Mode.TRAINING
     if stage is Stage.FAST_THINKING:
         _enter(state, Stage.VERIFICATION)
     elif stage is Stage.VERIFICATION:
-        if state.mode is Mode.INFERENCE:
-            if state.verdict is Verdict.YES:
-                _terminate(state, Stage.FAST_THINKING)
-            else:
-                _enter(state, Stage.SLOW_THINKING)
+        # inference trusts the verdict; training grades the fast answer instead
+        accepted = (answers_equal(state.answers.get(Stage.FAST_THINKING), state.item.answer)
+                    if training else state.verdict is Verdict.YES)
+        if accepted:
+            _terminate(state, Stage.FAST_THINKING)
         else:
-            fast_correct = answers_equal(state.answers.get(Stage.FAST_THINKING), state.item.answer)
-            if fast_correct:
-                _terminate(state, Stage.FAST_THINKING)
-            else:
-                _enter(state, Stage.SLOW_THINKING)
-    elif stage is Stage.SLOW_THINKING:
-        if state.mode is Mode.INFERENCE:
-            _terminate(state, Stage.SLOW_THINKING)
-        else:
-            slow_correct = answers_equal(state.answers.get(Stage.SLOW_THINKING), state.item.answer)
-            if slow_correct:
-                _enter(state, Stage.SUMMARIZATION)
-            else:
-                _terminate(state, Stage.SLOW_THINKING)
-    else:  # SUMMARIZATION: always terminal, final answer stays the slow one
+            _enter(state, Stage.SLOW_THINKING)
+    elif (stage is Stage.SLOW_THINKING and training
+          and answers_equal(state.answers.get(Stage.SLOW_THINKING), state.item.answer)):
+        _enter(state, Stage.SUMMARIZATION)
+    else:  # slow thinking otherwise, or summarization: the slow answer is final
         _terminate(state, Stage.SLOW_THINKING)
     return state

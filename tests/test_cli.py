@@ -1,14 +1,29 @@
+import hashlib
 import io
 import json
 
 import pytest
 
+from thinker import cli
 from thinker.cli import main
 from thinker.dataset import load_dataset
+
+from conftest import fixture_map
+from mock_backend import MockBackend
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+# Routes at p = 0.5 on "Compute 2 + 2.": seed 0 is rejected and answered wrong
+# at slow thinking in both modes; seed 5 reaches summarization in training.
+_EPISODE_ARGS = ("episode", "--backend", "scripted", "--p-fast", "0.5", "--t-p", "0.5",
+                 "--t-n", "0.5", "--p-slow", "0.5", "--question", "Compute 2 + 2.", "--answer", "4")
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestGenData:
@@ -49,6 +64,14 @@ class TestEpisode:
         assert record["config_hash"]
         assert record["stages"][0]["reward"] == 1.0
 
+    def test_json_carries_returns(self, capsys):
+        assert run_cli(*_EPISODE_ARGS, "--mode", "training", "--seed", "5", "--json") == 0
+        record = json.loads(capsys.readouterr().out)
+        counts = [max(s["token_count"], 1) for s in record["stages"]]
+        assert record["boundaries"] == [sum(counts[:i + 1]) for i in range(len(counts))]
+        assert record["stage_rewards"] == [s["reward"] for s in record["stages"]]
+        assert len(record["stages"]) == 4  # verification filled at p = 0.5
+
     def test_dataset_item_selection(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         data.write_text('{"id": "pick", "question": "Compute 1 + 1.", "answer": "2"}\n')
@@ -68,6 +91,40 @@ class TestEpisode:
         assert code == 4
 
 
+class TestEpisodeViewFence:
+    """Digests of the episode views, recorded before they were rendered from
+    the transcript record; a change to either view by one byte fails here."""
+
+    @pytest.mark.parametrize("mode,seed,digest", [
+        ("training", 0, "057a9e6fe29ee0395a2984fa523b55b690277eb02d9529900c95b5a5de98396c"),
+        ("training", 5, "16539e4ff65d696b7b8243a1ad214e6b1414e3ec17f723ca0c13a778672fb28c"),
+        ("inference", 0, "baf9f6b98494d2eb4aca8c73d58ea12d0c37ce865ba7da14dbb3d3f69456c903"),
+        ("inference", 5, "b5d010323d84b5b6f877b5880b7dfc77c3b749c2f263b6eec46b3dd0b8db2d56"),
+    ])
+    def test_text_bytes(self, capsys, mode, seed, digest):
+        assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed)) == 0
+        assert _sha(capsys.readouterr().out) == digest
+
+    def test_empty_final_box_text_bytes(self, capsys, monkeypatch):
+        backend = MockBackend(fixture_map("cli", "\\boxed{}", "\\boxed{Yes}"))
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
+        assert run_cli("episode", "--question", "Compute 2 + 2.", "--answer", "4") == 0
+        out = capsys.readouterr().out
+        assert out.endswith("final: stage=fast_thinking answer='' correct=False\n")
+        assert _sha(out) == "d3d0977fbe5febf4a7c4eb47f0ca6741459e9a4dfabd8974e82bc8d684d65dd9"
+
+    @pytest.mark.parametrize("mode,seed,digest", [
+        ("training", 5, "dc5f846433dcbb82100d37ff7ac7095ab2319dd566f3d4110ba464a57f441b20"),
+        ("inference", 0, "7440cbfba8e2f74452b0d9ffd03e1da5e49cfd73e61aed9d78e4170186abaea6"),
+    ])
+    def test_json_bytes_without_returns(self, capsys, mode, seed, digest):
+        assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed), "--json") == 0
+        record = json.loads(capsys.readouterr().out)
+        record.pop("boundaries", None)
+        record.pop("stage_rewards", None)
+        assert _sha(cli.dump_record(record)) == digest
+
+
 class TestGrade:
     def test_grades_stdin_pairs(self, capsys, monkeypatch):
         lines = [
@@ -84,6 +141,15 @@ class TestGrade:
     def test_malformed_stdin_is_data_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not json\n"))
         assert run_cli("grade") == 5
+
+    @pytest.mark.parametrize("record", [
+        {"response": "x \\boxed{7}", "answer": 7},
+        {"response": None, "answer": "7"},
+    ])
+    def test_non_string_field_is_data_error(self, record, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(record) + "\n"))
+        assert run_cli("grade") == 5
+        assert "stdin line 1: response/answer must be strings" in capsys.readouterr().err
 
 
 class TestRollout:
@@ -156,6 +222,16 @@ class TestEval:
         fast = json.loads((tmp_path / "report.thinker_fast.json").read_text())
         assert thinker["mode"] == "thinker"
         assert fast["mode"] == "thinker_fast"
+
+    def test_per_mode_reports_in_dotted_directory(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "3", "--seed", "4", "--out", str(data))
+        out_dir = tmp_path / "runs.v2"
+        out_dir.mkdir()
+        code = run_cli("--set", "eval.modes=[thinker, single-turn]",
+                       "eval", "--dataset", str(data), "--k", "1", "--out", str(out_dir / "report"))
+        assert code == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["report.single_turn", "report.thinker"]
 
 
 class TestSimulate:

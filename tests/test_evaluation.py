@@ -1,3 +1,4 @@
+import json
 import random
 import threading
 
@@ -9,7 +10,8 @@ from thinker.backend import (
     PolicyParams,
     ScriptedPolicyBackend,
 )
-from thinker.cli import _render_transcript, transcript_record
+from thinker import task
+from thinker.cli import _render_transcript, transcript_record, write_transcripts
 from thinker.dataset import Dataset, QAItem
 from thinker.errors import BackendError
 from thinker.evaluation import (
@@ -23,6 +25,7 @@ from thinker.evaluation import (
     standard_error,
 )
 from thinker.rewards import RewardConfig
+from thinker.rollout import Trajectory
 from thinker.task import Stage, StageBudgets, Transcript
 
 from conftest import fixture_map
@@ -221,20 +224,53 @@ class TestSampleRecord:
         record = transcript_record(t, "cfg")
         assert [s["stage"] for s in record["stages"]] == [turn.key for turn in t.turns]
         assert record["stages"][0]["extracted"] == "1"
-        text = _render_transcript(t, "cfg")
+        text = _render_transcript(record)
         assert all(f"[{turn.key}]" in text for turn in t.turns)
 
     def test_single_turn_record_has_no_stage_reward(self):
         t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, SINGLE_TURN,
                     StageBudgets(), RewardConfig(), 8000)
-        assert transcript_record(t, "cfg")["stages"][0]["reward"] is None
-        assert "reward=-" in _render_transcript(t, "cfg")
+        record = transcript_record(t, "cfg")
+        assert record["stages"][0]["reward"] is None
+        assert "reward=-" in _render_transcript(record)
 
     @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
     def test_backend_failure_marks_failed(self, mode):
         t = _sample(MockBackend({}), make_dataset(1).items[0], 5, mode, StageBudgets(), RewardConfig(), 8000)
         assert t.failed and "no fixture" in t.error
         assert t.turns == []
+
+    def test_write_transcripts_one_line_per_mode(self, tmp_path):
+        item = make_dataset(1).items[0]
+        samples = [_sample(MockBackend(self.FIXTURES), item, 5, mode, StageBudgets(), RewardConfig(), 8000)
+                   for mode in (THINKER, THINKER_FAST, SINGLE_TURN)]
+        path = tmp_path / "samples.jsonl"
+        write_transcripts(str(path), samples, "cfg")
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(r["final_stage"], r["final_answer"], r["correct"]) for r in records] == [
+            ("fast_thinking", "1", True), ("fast_thinking", "1", True), (None, "1", True)]
+
+    @pytest.mark.parametrize("mode", [THINKER_FAST, SINGLE_TURN])
+    def test_one_turn_sample_is_terminal(self, mode):
+        t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
+                    RewardConfig(), 8000)
+        assert t.terminal and t.pending_prompt is None
+        assert t.final_stage is t.turns[0].stage
+        assert t.final_answer.raw == "1"
+        with pytest.raises(ValueError):  # no stage rewards on an eval sample
+            Trajectory.from_transcript(t)
+
+    def test_thinker_fast_renders_one_prompt_per_sample(self, monkeypatch):
+        rendered = []
+        real = task.render_prompt
+
+        def counting(stage, item):
+            rendered.append(stage)
+            return real(stage, item)
+
+        monkeypatch.setattr(task, "render_prompt", counting)
+        evaluate(ScriptedPolicyBackend(PolicyParams(p_fast=0.5)), make_dataset(4), THINKER_FAST, k=2, seed=0)
+        assert rendered == [Stage.FAST_THINKING] * 8
 
     def test_reflections_counted_from_turn_responses(self):
         report = evaluate(MockBackend(self.FIXTURES), make_dataset(1), SINGLE_TURN, k=2, seed=0)

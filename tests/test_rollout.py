@@ -19,7 +19,7 @@ from thinker.rollout import (
     run_batch,
     run_episode,
 )
-from thinker.task import Mode, Stage
+from thinker.task import Mode, Stage, Transcript, Turn
 
 from conftest import fixture_map
 from mock_backend import MockBackend, PooledScriptedBackend, RecordingScriptedBackend
@@ -260,8 +260,8 @@ class TestStageReturns:
             Trajectory(stage_token_counts=(0, 2), stage_rewards=(1.0, 1.0))
         with pytest.raises(ValueError):
             Trajectory(stage_token_counts=(3,), stage_rewards=(1.0, 2.0))
-        with pytest.raises(ValueError):
-            Trajectory(stage_token_counts=(3, 2), stage_rewards=(1.0, 1.0), boundaries=(3, 6))
+        with pytest.raises(TypeError):  # boundaries are derived from the counts, never passed
+            Trajectory(stage_token_counts=(3, 2), stage_rewards=(1.0, 1.0), boundaries=(3, 5))
 
     def test_from_transcript(self, item):
         backend = ScriptedPolicyBackend(PolicyParams(p_fast=1.0, t_p=1.0))
@@ -274,6 +274,13 @@ class TestStageReturns:
         backend = ScriptedPolicyBackend(PolicyParams(p_fast=1.0))
         t = run_episode(backend, item, Mode.TRAINING, seed=1)  # verify unfilled
         with pytest.raises(ValueError, match="verification"):
+            Trajectory.from_transcript(t)
+
+    def test_from_transcript_stage_less_turn(self, item):
+        # a one-shot eval sample: its only turn has no stage and no reward
+        t = Transcript(Mode.INFERENCE, item, stage=None)
+        t.turns.append(Turn(None, "prompt", "\\boxed{7}", 3, "stop"))
+        with pytest.raises(ValueError, match="single_turn"):
             Trajectory.from_transcript(t)
 
 
