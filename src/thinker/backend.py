@@ -20,8 +20,6 @@ import random
 import time
 from dataclasses import dataclass, field
 
-import requests
-
 from .errors import BackendError, LogprobUnsupportedError
 from .grading import PARSE_CACHE_SIZE, answers_equal, extract_boxed, parse_numeric
 from .task import Stage
@@ -313,6 +311,7 @@ class HttpBackend(Backend):
     waits_on_server = True
 
     def __init__(self, settings: BackendConfig | None = None, tokenizer=count_tokens):
+        import requests  # loaded on first use: runs without a server never pay for it
         self.settings = settings or BackendConfig(kind="http")
         self.tokenizer = tokenizer
         self._session = requests.Session()
@@ -325,6 +324,7 @@ class HttpBackend(Backend):
         return headers
 
     def _post(self, payload: dict) -> dict:
+        import requests  # already loaded by __init__; this only looks it up
         url = self.settings.base_url.rstrip("/") + "/chat/completions"
         last_error: Exception | None = None
         wait: float | None = None  # a 429's Retry-After in seconds; None: the backoff

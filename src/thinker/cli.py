@@ -14,8 +14,6 @@ import math
 import os
 import sys
 
-import yaml
-
 from .backend import PolicyParams
 from .config import (
     EngineConfig,
@@ -246,6 +244,13 @@ def _cmd_grade(args, cfg: EngineConfig) -> int:
     return EXIT_OK
 
 
+def _load_nonempty(path: str) -> Dataset:
+    dataset = load_dataset(path)
+    if len(dataset) == 0:
+        raise DatasetError(f"dataset {path!r} is empty")
+    return dataset
+
+
 def _pick_item(args) -> QAItem:
     if args.question is not None or args.answer is not None:
         if not (args.question and args.answer):
@@ -253,9 +258,7 @@ def _pick_item(args) -> QAItem:
         return QAItem(id="cli", question=args.question, answer=args.answer)
     if not args.dataset:
         raise ConfigError("need --question/--answer or --dataset")
-    dataset = load_dataset(args.dataset)
-    if len(dataset) == 0:
-        raise DatasetError(f"dataset {args.dataset!r} is empty")
+    dataset = _load_nonempty(args.dataset)
     if args.item_id:
         return dataset.get(args.item_id)
     if not 0 <= args.index < len(dataset):
@@ -331,7 +334,7 @@ def _batch_summary(batch: RolloutBatch, out_path: str) -> str:
 
 
 def _cmd_eval(args, cfg: EngineConfig) -> int:
-    dataset = load_dataset(args.dataset)
+    dataset = _load_nonempty(args.dataset)
     backend = build_backend(cfg)
     if args.mode:
         modes = [args.mode.replace("-", "_")]
@@ -441,6 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, (args.overrides or []) + _flag_overrides(args))
         if args.print_config:
+            import yaml
             print(yaml.safe_dump(config_to_dict(cfg), sort_keys=False).rstrip())
             print(f"# config_hash={config_hash(cfg)}")
             return EXIT_OK

@@ -15,8 +15,6 @@ import types
 import typing
 from dataclasses import dataclass, field
 
-import yaml
-
 from .backend import Backend, BackendConfig, HttpBackend, ScriptedPolicyBackend
 from .errors import ConfigError
 from .evaluation import EVAL_MODES, ReflectionVocab
@@ -149,6 +147,7 @@ def parse_override(text: str) -> tuple[str, object]:
     key = key.strip()
     if not key:
         raise ConfigError(f"override {text!r} has an empty key")
+    import yaml  # loaded on first use: a run given no overrides and no file never reads YAML
     try:
         value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
@@ -169,10 +168,11 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
     """Effective config = defaults, overlaid by the file, then by --set flags."""
     tree: dict = {}
     if path is not None:
+        import yaml
         try:
             with open(path, encoding="utf-8") as fh:
                 loaded = yaml.safe_load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config {path!r} is not valid YAML: {exc}") from exc

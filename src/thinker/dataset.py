@@ -90,7 +90,7 @@ def load_dataset(path: str) -> Dataset:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc
 
     items: list[QAItem] = []

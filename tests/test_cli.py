@@ -183,6 +183,12 @@ class TestRollout:
     def test_missing_dataset_is_io_error(self, tmp_path, capsys):
         assert run_cli("rollout", "--dataset", str(tmp_path / "nope.jsonl")) == 5
 
+    def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "bad.jsonl"
+        data.write_bytes(b'\xff\xfe{"question": "q", "answer": "1"}\n')
+        assert run_cli("rollout", "--dataset", str(data), "--out", str(tmp_path / "t.jsonl")) == 5
+        assert f"data error: cannot read dataset {str(data)!r}" in capsys.readouterr().err
+
 
 class TestEval:
     def test_report_file_with_pass_rate(self, tmp_path, capsys):
@@ -232,6 +238,15 @@ class TestEval:
                        "eval", "--dataset", str(data), "--k", "1", "--out", str(out_dir / "report"))
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.single_turn", "report.thinker"]
+
+    def test_empty_dataset_is_data_error(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        report_path = tmp_path / "report.json"
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: pytest.fail("backend built"))
+        assert run_cli("eval", "--dataset", str(data), "--out", str(report_path)) == 5
+        assert f"data error: dataset {str(data)!r} is empty" in capsys.readouterr().err
+        assert not report_path.exists()
 
 
 class TestSimulate:
@@ -338,6 +353,12 @@ class TestTopLevel:
     def test_unknown_config_key_is_config_error(self, key, named, capsys):
         assert run_cli("--set", f"{key}=8", "--print-config") == 3
         assert f"unknown config key {named!r}" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_bytes(b"a: \xff\n")
+        assert run_cli("--config", str(cfg), "simulate", "--episodes", "10") == 3
+        assert f"config error: cannot read config {str(cfg)!r}" in capsys.readouterr().err
 
     def test_config_file_applies(self, tmp_path, capsys):
         cfg = tmp_path / "engine.yaml"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from thinker.backend import HttpBackend, ScriptedPolicyBackend
@@ -137,6 +139,12 @@ class TestLoadAndOverride:
     def test_missing_file_is_config_error(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent.yaml")
+
+    def test_non_utf8_file_is_config_error(self, tmp_path):
+        path = tmp_path / "engine.yaml"
+        path.write_bytes(b"a: \xff\n")
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config {str(path)!r}")):
+            load_config(str(path))
 
     def test_non_mapping_file_rejected(self, tmp_path):
         path = tmp_path / "engine.yaml"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -78,6 +79,13 @@ def test_duplicate_explicit_id_rejected(tmp_path):
 def test_unreadable_file():
     with pytest.raises(DatasetError, match="cannot read"):
         load_dataset("/nonexistent/nowhere.jsonl")
+
+
+def test_non_utf8_file_is_dataset_error(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'\xff\xfe{"question": "q", "answer": "1"}\n')
+    with pytest.raises(DatasetError, match=re.escape(f"cannot read dataset {str(path)!r}")):
+        load_dataset(str(path))
 
 
 def test_empty_fields_rejected(tmp_path):
