@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from urllib.parse import quote, urlsplit
 
 from .errors import BackendError, LogprobUnsupportedError
 from .grading import PARSE_CACHE_SIZE, answers_equal, extract_boxed, parse_numeric
@@ -282,6 +285,14 @@ class BackendConfig:
             raise ValueError("backend.max_attempts must be >= 1")
         if self.backoff_s < 0:
             raise ValueError("backend.backoff_s must be >= 0")
+        try:
+            url = urlsplit(self.base_url)
+            url.port  # parsed on access: raises for a port that is not a number in range
+        except ValueError:
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"backend.base_url must be an http:// or https:// URL with a host "
+                             f"and a valid port, got {self.base_url!r}")
 
 
 def _retry_after(value: str | None, cap: float) -> float | None:
@@ -296,36 +307,93 @@ def _retry_after(value: str | None, cap: float) -> float | None:
 class HttpBackend(Backend):
     """Chat-completions client with retries.
 
+    The client speaks HTTP/1.1 through the standard library's http.client.
+    It keeps one keep-alive connection per request in flight: a request
+    takes an idle connection, or opens one when none is idle, and puts it
+    back once the response is read unless the server closes it. A reused
+    connection the server closed while it sat idle is reopened once, at
+    once, without counting as an attempt. HTTPS checks the server against
+    the system trust store; proxy environment variables are not read.
+
     Transport errors, 5xx and 429 responses are retried with exponential
     backoff; a 429 whose Retry-After gives seconds waits that long instead,
-    at most timeout_s (RFC 6585; RFC 9110 section 10.2.3). A still-failing
-    call raises BackendError (episodes record the failure, they never
-    fabricate text). The API key, when required, comes from the
-    environment variable named in the settings, never from config files.
-    Completion scoring is not offered over this protocol: third-party
-    logprobs are a proxy for the policy's own, so the capability is left to
-    in-process backends.
+    at most timeout_s (RFC 6585; RFC 9110 section 10.2.3). timeout_s is the
+    socket timeout of each connect, send and receive. A still-failing call
+    raises BackendError (episodes record the failure, they never fabricate
+    text). The API key, when required, comes from the environment variable
+    named in the settings, never from config files. Completion scoring is
+    not offered over this protocol: third-party logprobs are a proxy for the
+    policy's own, so the capability is left to in-process backends.
     """
 
     name = "http"
     waits_on_server = True
 
     def __init__(self, settings: BackendConfig | None = None, tokenizer=count_tokens):
-        import requests  # loaded on first use: runs without a server never pay for it
+        import http.client  # loaded on first use: runs without a server never pay for it
         self.settings = settings or BackendConfig(kind="http")
         self.tokenizer = tokenizer
-        self._session = requests.Session()
+        url = urlsplit(self.settings.base_url)
+        target = url.path.rstrip("/") + "/chat/completions" + (f"?{url.query}" if url.query else "")
+        # percent-encode what a request line cannot carry (spaces, controls, non-ASCII)
+        self._target = quote(target, safe="!#$%&'()*+,/:;=?@[]~")
+        if url.scheme == "https":
+            import ssl
+            self._connect = functools.partial(
+                http.client.HTTPSConnection, url.hostname, url.port,
+                timeout=self.settings.timeout_s, context=ssl.create_default_context())
+        else:
+            self._connect = functools.partial(
+                http.client.HTTPConnection, url.hostname, url.port, timeout=self.settings.timeout_s)
+        self._idle = deque()  # keep-alive connections between requests; append and pop are atomic
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.settings.api_key_env, "")
         if key:
+            if not (key.isascii() and key.isprintable()):  # a stray "\r" from a file; never echo the key
+                raise BackendError(f"the API key in ${self.settings.api_key_env} holds a character "
+                                   "that cannot go in a header")
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
+    def _exchange(self, conn, body: bytes) -> tuple[int, str | None, bytes]:
+        """Status, Retry-After and body of one POST on conn. The connection
+        goes back to the idle pool if the server keeps it open; any error
+        closes it."""
+        try:
+            conn.request("POST", self._target, body, self._headers())
+            resp = conn.getresponse()
+            data = resp.read()
+        except BaseException:
+            conn.close()
+            raise
+        if resp.will_close:
+            conn.close()
+        else:
+            self._idle.append(conn)
+        return resp.status, resp.getheader("Retry-After"), data
+
+    def _roundtrip(self, body: bytes) -> tuple[int, str | None, bytes]:
+        """One POST on an idle connection, or on a new one when none is idle."""
+        try:
+            conn = self._idle.pop()  # the most recently used: the least likely to have gone stale
+        except IndexError:
+            return self._exchange(self._connect(), body)
+        try:
+            return self._exchange(conn, body)
+        except (ConnectionResetError, BrokenPipeError):  # http.client.RemoteDisconnected included
+            return self._exchange(self._connect(), body)  # closed while idle: not an attempt
+
+    def close(self) -> None:
+        """Close the idle connections; call it with no request in flight.
+        A later request opens a new connection."""
+        while self._idle:
+            self._idle.pop().close()
+
     def _post(self, payload: dict) -> dict:
-        import requests  # already loaded by __init__; this only looks it up
-        url = self.settings.base_url.rstrip("/") + "/chat/completions"
+        import http.client  # already loaded by __init__; this only looks it up
+        body = json.dumps(payload, allow_nan=False).encode()
         last_error: Exception | None = None
         wait: float | None = None  # a 429's Retry-After in seconds; None: the backoff
         for attempt in range(self.settings.max_attempts):
@@ -333,26 +401,23 @@ class HttpBackend(Backend):
                 time.sleep(self.settings.backoff_s * 2 ** (attempt - 1) if wait is None else wait)
                 wait = None
             try:
-                resp = self._session.post(
-                    url, json=payload, headers=self._headers(),
-                    timeout=self.settings.timeout_s,
-                )
-            except requests.RequestException as exc:
+                status, retry_after, data = self._roundtrip(body)
+            except (OSError, http.client.HTTPException) as exc:  # timeouts are OSError
                 last_error = exc
                 continue
-            status = resp.status_code
             if status == 200:
                 try:
-                    return resp.json()
+                    return json.loads(data)
                 except ValueError as exc:
                     raise BackendError(f"malformed JSON from server: {exc}") from exc
             if status == 429:
                 last_error = BackendError("rate limited (429)")
-                wait = _retry_after(resp.headers.get("Retry-After"), self.settings.timeout_s)
+                wait = _retry_after(retry_after, self.settings.timeout_s)
             elif status >= 500:
                 last_error = BackendError(f"server error {status}")
             else:
-                raise BackendError(f"request failed with status {status}: {resp.text[:200]}")
+                raise BackendError(f"request failed with status {status}: "
+                                   f"{data.decode('utf-8', 'replace')[:200]}")
         raise BackendError(f"request failed after {self.settings.max_attempts} attempts: {last_error}")
 
     def generate(self, request: GenerationRequest) -> GenerationResult:

@@ -88,7 +88,7 @@ def load_dataset(path: str) -> Dataset:
     for duplicate explicit ids. An empty file yields an empty dataset.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a leading byte-order mark is dropped
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DatasetError(f"cannot read dataset {path!r}: {exc}") from exc

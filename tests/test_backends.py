@@ -1,3 +1,5 @@
+import re
+import sys
 import threading
 
 import pytest
@@ -297,6 +299,15 @@ class TestHttpBackend:
             backend.generate(request())
             assert stub.requests[0]["headers"]["authorization"] == "Bearer sekrit"
 
+    def test_key_unfit_for_a_header_fails_without_echo(self, monkeypatch):
+        monkeypatch.setenv("THINKER_API_KEY", "sekrit\r")
+        with StubServer() as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            with pytest.raises(BackendError, match=r"API key in \$THINKER_API_KEY") as info:
+                backend.generate(request())
+            assert "sekrit" not in str(info.value)
+            assert stub.requests == []
+
     def test_no_key_no_header(self, monkeypatch):
         monkeypatch.delenv("THINKER_API_KEY", raising=False)
         with StubServer() as stub:
@@ -444,6 +455,57 @@ class TestHttpBackend:
         assert not arrived.broken
         assert batch.failures == 0
         assert batch.final_accuracy == 1.0
+
+    def test_keep_alive_connections_bounded_by_parallelism(self):
+        # 12 in flight, above the 10 idle connections a requests session
+        # keeps; each item has its own answer, so a reply delivered to the
+        # wrong episode shows as a wrong answer
+        def behavior(payload, index):
+            if len(payload["messages"]) == 3:
+                return "\\boxed{Yes}"
+            number = re.search(r"Compute (\d+) \+ 0", payload["messages"][0]["content"])[1]
+            return "\\boxed{" + number + "}"
+
+        items = [QAItem(id=f"q{i}", question=f"Compute {i} + 0.", answer=str(i)) for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to expose a lost update in the pool
+        try:
+            with StubServer(behavior, keep_alive=True) as stub:
+                backend = HttpBackend(self.settings(stub.base_url, max_attempts=1))
+                for seed in range(3):
+                    batch = run_batch(backend, items, Mode.TRAINING, seed=seed, parallelism=12)
+                    assert batch.failures == 0
+                    assert batch.final_accuracy == 1.0
+                backend.close()
+                assert len(stub.requests) == 3 * 24 * 2
+        finally:
+            sys.setswitchinterval(interval)
+        assert stub.connections <= 12
+
+    def test_stale_keep_alive_connection_costs_no_attempt(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr("thinker.backend.time.sleep", sleeps.append)
+        with StubServer(keep_alive="drop") as stub:
+            backend = HttpBackend(self.settings(stub.base_url, max_attempts=1))
+            for _ in range(5):
+                assert backend.generate(request()).text == "\\boxed{ok}"
+            backend.close()
+            assert len(stub.requests) == 5
+            assert stub.connections == 5
+        assert sleeps == []
+
+    def test_https_url_speaks_tls(self):
+        # a plain-HTTP server cannot complete the handshake: a transport error
+        with StubServer() as stub:
+            backend = HttpBackend(self.settings(stub.base_url.replace("http:", "https:"), max_attempts=1))
+            with pytest.raises(BackendError, match="SSL"):
+                backend.generate(request())
+
+    # a schemeless and an ftp:// URL: test_cli's TestEpisode
+    @pytest.mark.parametrize("url", ["http:///v1", "http://localhost:port/v1", "http://localhost:99999/v1"])
+    def test_unusable_base_url_rejected(self, url):
+        with pytest.raises(ValueError, match="base_url"):
+            BackendConfig(kind="http", base_url=url)
 
     def test_scoring_unsupported(self):
         backend = HttpBackend(self.settings("http://127.0.0.1:9/v1"))

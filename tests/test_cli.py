@@ -90,6 +90,18 @@ class TestEpisode:
                        "--question", "Compute 1 + 1.", "--answer", "2")
         assert code == 4
 
+    @pytest.mark.parametrize("url", ["localhost:8000/v1", "ftp://localhost/v1"])
+    def test_unusable_base_url_is_config_error(self, url, capsys):
+        code = run_cli("--set", f"backend.base_url={url}", "episode", "--backend", "http",
+                       "--question", "Compute 1 + 1.", "--answer", "2")
+        assert code == 3
+        assert "backend.base_url must be an http:// or https:// URL" in capsys.readouterr().err
+
+    def test_dataset_with_byte_order_mark(self, tmp_path, capsys):
+        data = tmp_path / "bom.jsonl"
+        data.write_bytes(b'\xef\xbb\xbf{"question": "Compute 1 + 1.", "answer": "2"}\n')
+        assert run_cli("episode", "--dataset", str(data)) == 0
+
 
 class TestEpisodeViewFence:
     """Digests of the episode views, recorded before they were rendered from

@@ -88,6 +88,12 @@ def test_non_utf8_file_is_dataset_error(tmp_path):
         load_dataset(str(path))
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(b'\xef\xbb\xbf{"id": "a", "question": "q", "answer": "1"}\n')
+    assert [item.id for item in load_dataset(str(path))] == ["a"]
+
+
 def test_empty_fields_rejected(tmp_path):
     path = tmp_path / "d.jsonl"
     write_lines(path, [json.dumps({"question": "", "answer": "1"})])

@@ -1,8 +1,9 @@
 """Third-party dependencies load only when a feature needs them.
 
-`import thinker` stays inside the standard library, so a run that never
-builds an HTTP client or reads YAML does not pay for `requests` or PyYAML.
-The checks run in a fresh interpreter: this test process has loaded both.
+`import thinker` stays inside the standard library, and so does the HTTP
+backend: it speaks HTTP through `http.client`. Only reading YAML loads
+PyYAML. The checks run in a fresh interpreter (this test process has loaded
+PyYAML) where `requests` cannot be imported at all.
 """
 
 import json
@@ -11,20 +12,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+from stub_server import StubServer
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # certifi is left out: a site hook may load it before any user code runs.
 _PROBE = """
 import json, sys
+sys.modules["requests"] = None  # any import of requests raises ImportError
 watched = ("requests", "urllib3", "yaml")
-loaded = lambda: sorted(m for m in watched if m in sys.modules)
+loaded = lambda: sorted(m for m in watched if sys.modules.get(m) is not None)
 snapshots = {}
 import thinker, thinker.cli
 snapshots["import"] = loaded()
-from thinker import HttpBackend
+from thinker import GenerationRequest, HttpBackend
 from thinker.backend import BackendConfig
-HttpBackend(BackendConfig(kind="http"))
+backend = HttpBackend(BackendConfig(kind="http", base_url=sys.argv[1]))
 snapshots["http_backend"] = loaded()
+result = backend.generate(GenerationRequest(
+    messages=({"role": "user", "content": "hello"},), max_tokens=8, temperature=1.0, seed=1))
+snapshots["generate"] = loaded()
+snapshots["text"] = result.text
 from thinker.config import load_config
 load_config(None, ["eval.k=1"])
 snapshots["override"] = loaded()
@@ -32,15 +40,18 @@ print(json.dumps(snapshots))
 """
 
 
-def _snapshots() -> dict:
+def _snapshots(base_url: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", _PROBE, base_url], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)
 
 
 def test_dependencies_load_on_first_use():
-    snapshots = _snapshots()
+    with StubServer() as stub:
+        snapshots = _snapshots(stub.base_url)
     assert snapshots["import"] == []
-    assert snapshots["http_backend"] == ["requests", "urllib3"]
-    assert snapshots["override"] == ["requests", "urllib3", "yaml"]
+    assert snapshots["http_backend"] == []
+    assert snapshots["generate"] == []
+    assert snapshots["text"] == "\\boxed{ok}"
+    assert snapshots["override"] == ["yaml"]
