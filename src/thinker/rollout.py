@@ -256,7 +256,7 @@ def per_token_rewards(traj: Trajectory) -> list[float]:
     return rewards
 
 
-def _check_stream(rewards, values, boundaries) -> None:
+def _check_stream(rewards, values, boundaries, gamma, lam) -> None:
     if len(rewards) != len(values):
         raise ValueError("rewards and values must have the same length")
     if not boundaries:
@@ -268,6 +268,8 @@ def _check_stream(rewards, values, boundaries) -> None:
         prev = b
     if boundaries[-1] != len(rewards):
         raise ValueError("last boundary must equal the stream length")
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= lam <= 1.0):  # NaN fails too
+        raise ValueError(f"gamma and lam must lie in [0, 1], got {gamma!r} and {lam!r}")
 
 
 def compute_gae(per_token_reward_stream: list[float], values: list[float],
@@ -277,18 +279,24 @@ def compute_gae(per_token_reward_stream: list[float], values: list[float],
 
     Each stage is treated as its own episode: the value after a boundary is
     0 and the recursion restarts, so no signal crosses stages (a discount of
-    zero between stages). Defaults gamma=1, lam=1 make the advantage equal
-    the remaining in-stage return minus the baseline.
+    zero between stages). gamma and lam must lie in [0, 1]; the defaults
+    gamma=1, lam=1 make the advantage equal the remaining in-stage return
+    minus the value.
+
+    The recurrence is one backward pass per stage, evaluated as
+    ``(r + gamma*v_next - v) + (gamma*lam)*running`` in that fixed order, so
+    advantages are bitwise reproducible from one version to the next.
     """
-    _check_stream(per_token_reward_stream, values, boundaries)
+    _check_stream(per_token_reward_stream, values, boundaries, gamma, lam)
     advantages = [0.0] * len(per_token_reward_stream)
+    decay = gamma * lam
     start = 0
     for end in boundaries:
-        running = 0.0
+        running = next_value = 0.0
         for t in range(end - 1, start - 1, -1):
-            next_value = values[t + 1] if t + 1 < end else 0.0
-            delta = per_token_reward_stream[t] + gamma * next_value - values[t]
-            running = delta + gamma * lam * running
+            value = values[t]
+            running = per_token_reward_stream[t] + gamma * next_value - value + decay * running
             advantages[t] = running
+            next_value = value
         start = end
     return advantages

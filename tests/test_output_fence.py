@@ -1,20 +1,24 @@
 """Byte-identical outputs for a fixed seed and config.
 
 The digests were recorded before eval samples became transcripts, before
-batch and eval shared one token reducer, and (the clipped batches) before the
-scripted policy counted its responses' tokens without splitting their text;
-a refactor that changes a report or a transcript file by one byte fails here.
+batch and eval shared one token reducer, (the clipped batches) before the
+scripted policy counted its responses' tokens without splitting their text,
+and (the advantages) before compute_gae carried the next value through its
+loop; a refactor that changes a report, a transcript file or one bit of an
+advantage fails here.
 """
 
 import hashlib
 import json
+import random
+import struct
 
 import pytest
 
 from thinker.backend import PolicyParams, ScriptedPolicyBackend
 from thinker.cli import write_transcripts
 from thinker.evaluation import SINGLE_TURN, THINKER, THINKER_FAST, evaluate
-from thinker.rollout import run_batch
+from thinker.rollout import Trajectory, compute_gae, per_token_rewards, run_batch
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
 from thinker.task import Mode, StageBudgets
 
@@ -67,3 +71,23 @@ def test_clipped_training_batch_bytes(tmp_path, budgets, digest):
     path = tmp_path / "batch.jsonl"
     write_transcripts(str(path), batch.transcripts, "fence")
     assert _sha(path.read_bytes()) == digest
+
+
+@pytest.mark.parametrize("gamma,lam,digest", [
+    (1.0, 1.0, "bf3894bd3befb17563b92e286a454be12287c04c3a5a4f91a09c556faf94f9df"),
+    (0.99, 0.95, "e8c29ac28ce6ec5117efee5b93b98832859cc8f1d79f78b6b7dfaeafb065e76f"),
+])
+def test_training_batch_advantages_bits(gamma, lam, digest):
+    # default policy and budgets: episodes of about 550 tokens, past what the
+    # quadratic oracle in test_rollout.py covers quickly
+    dataset = gen_synthetic(SyntheticTaskConfig(n_items=8, seed=12))
+    batch = run_batch(ScriptedPolicyBackend(PolicyParams()), list(dataset), Mode.TRAINING,
+                      seed=7, samples_per_prompt=4)
+    rng = random.Random(31)
+    h = hashlib.sha256()
+    for transcript in batch.transcripts:
+        traj = Trajectory.from_transcript(transcript)
+        values = [rng.uniform(-2.0, 2.0) for _ in range(traj.total_tokens)]
+        for a in compute_gae(per_token_rewards(traj), values, traj.boundaries, gamma=gamma, lam=lam):
+            h.update(struct.pack("<d", a))
+    assert h.hexdigest() == digest

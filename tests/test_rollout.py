@@ -1,5 +1,6 @@
 import random
 import threading
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,21 @@ def brute_force_gae(rewards, values, boundaries, gamma=1.0, lam=1.0):
             advantages[t] = acc
         start = end
     return advantages
+
+
+# signed zeros and magnitudes up to 1e12, where rounding differs by operand order
+_GAE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-1e12, 1e12, allow_nan=False))
+
+
+@st.composite
+def gae_case(draw):
+    """A dense reward stream (any token may carry reward), values and boundaries."""
+    counts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    total = sum(counts)
+    rewards = draw(st.lists(_GAE_FLOATS, min_size=total, max_size=total))
+    values = draw(st.lists(_GAE_FLOATS, min_size=total, max_size=total))
+    return rewards, values, tuple(accumulate(counts))
 
 
 @pytest.fixture
@@ -324,6 +340,27 @@ class TestGae:
             compute_gae([0.0, 1.0], [0.0, 0.0], (1,))
         with pytest.raises(ValueError):
             compute_gae([0.0, 1.0], [0.0, 0.0], ())
+
+    @pytest.mark.parametrize("gamma,lam", [
+        (float("nan"), 1.0), (1.0, float("nan")), (3.0, 2.0), (1.0 + 1e-9, 1.0),
+        (1.0, -1e-9), (-0.5, 0.5), (float("inf"), 1.0),
+    ])
+    def test_discounts_outside_unit_interval_rejected(self, gamma, lam):
+        with pytest.raises(ValueError, match="gamma and lam"):
+            compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=gamma, lam=lam)
+
+    def test_discounts_at_unit_interval_ends_accepted(self):
+        assert compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=0.0, lam=0.0) == [0.0, 1.0]
+        assert compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=-0.0, lam=1.0) == [0.0, 1.0]
+
+    @given(gae_case(), st.floats(0, 1), st.floats(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_brute_force_at_any_discount(self, case, gamma, lam):
+        rewards, values, boundaries = case
+        fast = compute_gae(rewards, values, boundaries, gamma=gamma, lam=lam)
+        slow = brute_force_gae(rewards, values, boundaries, gamma=gamma, lam=lam)
+        # float.hex tells -0.0 from 0.0, which == does not
+        assert [a.hex() for a in fast] == [a.hex() for a in slow]
 
 
 @st.composite
