@@ -112,20 +112,26 @@ def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str) -
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# Shorthand flags and the config keys they override; they apply after every
-# --set, so a flag wins over both the file and --set.
+# Shorthand flags (by argparse dest) and the config keys they stand for. The
+# values argparse typed apply after every --set, so a flag wins over both the
+# file and --set, and config_hash and --print-config cover it.
 _FLAG_KEYS = {
     "p_fast": "backend.policy.p_fast",
     "t_p": "backend.policy.t_p",
     "t_n": "backend.policy.t_n",
     "p_slow": "backend.policy.p_slow",
     "backend": "backend.kind",
+    "batch_size": "rollout.batch_size",
+    "samples_per_prompt": "rollout.samples_per_prompt",
+    "parallelism": "rollout.parallelism",
+    "k": "eval.k",
+    "eval_modes": "eval.modes",
 }
 
 
-def _flag_overrides(args) -> list[str]:
-    return [f"{key}={getattr(args, dest)}" for dest, key in _FLAG_KEYS.items()
-            if getattr(args, dest, None) is not None]
+def _flag_values(args) -> dict[str, object]:
+    return {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
+            if getattr(args, dest, None) is not None}
 
 
 def _positive_int(text: str) -> int:
@@ -157,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the effective config and its hash, then exit")
 
     commands = parser.add_subparsers(dest="command")
-    parallelism_help = ("most requests in flight to an http backend (default from config); "
+    parallelism_help = ("most requests in flight to an http backend (rollout.parallelism); "
                         "in-process backends run episodes inline")
 
     grade = commands.add_parser("grade", help="grade JSONL {response, answer} pairs from stdin")
@@ -180,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     rollout.add_argument("--dataset", required=True)
     rollout.add_argument("--mode", choices=["training", "inference"], default="training")
     rollout.add_argument("--batch-size", type=_positive_int,
-                         help="prompts per batch (default from config)")
-    rollout.add_argument("--samples-per-prompt", type=_positive_int, help="default from config")
+                         help="prompts per batch (rollout.batch_size)")
+    rollout.add_argument("--samples-per-prompt", type=_positive_int,
+                         help="samples per prompt (rollout.samples_per_prompt)")
     rollout.add_argument("--parallelism", type=_positive_int, help=parallelism_help)
     rollout.add_argument("--seed", type=int, default=0)
     rollout.add_argument("--out", default="transcripts.jsonl")
@@ -189,9 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = commands.add_parser("eval", help="benchmark pass@1 accuracy over k samples")
     ev.add_argument("--dataset", required=True)
-    ev.add_argument("--mode", choices=["thinker", "thinker-fast", "single-turn"],
-                    help="default: every mode in eval.modes")
-    ev.add_argument("--k", type=_positive_int, help="samples per question (default from config)")
+    # nargs=1 stores a list of the one mode, the type of eval.modes
+    ev.add_argument("--mode", nargs=1, dest="eval_modes",
+                    choices=["thinker", "thinker-fast", "single-turn"],
+                    help="run only this mode (eval.modes; default: every mode listed there)")
+    ev.add_argument("--k", type=_positive_int, help="samples per question (eval.k)")
     ev.add_argument("--parallelism", type=_positive_int, help=parallelism_help)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", default="eval_report.json")
@@ -303,20 +312,14 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
 
 
 def _cmd_rollout(args, cfg: EngineConfig) -> int:
-    dataset = load_dataset(args.dataset)
-    batch_size = args.batch_size if args.batch_size is not None else cfg.rollout.batch_size
-    samples = (args.samples_per_prompt if args.samples_per_prompt is not None
-               else cfg.rollout.samples_per_prompt)
-    parallelism = args.parallelism if args.parallelism is not None else cfg.rollout.parallelism
-    items = sample_batch(dataset, batch_size, args.seed)
+    items = sample_batch(_load_nonempty(args.dataset), cfg.rollout.batch_size, args.seed)
     backend = build_backend(cfg)
     batch = run_batch(
         backend, items, Mode(args.mode),
-        seed=args.seed, samples_per_prompt=samples,
-        budgets=cfg.budgets, reward_cfg=cfg.rewards, parallelism=parallelism,
+        seed=args.seed, samples_per_prompt=cfg.rollout.samples_per_prompt,
+        budgets=cfg.budgets, reward_cfg=cfg.rewards, parallelism=cfg.rollout.parallelism,
     )
-    cfg_hash = config_hash(cfg)
-    write_transcripts(args.out, batch.transcripts, cfg_hash)
+    write_transcripts(args.out, batch.transcripts, config_hash(cfg))
     print(_batch_summary(batch, args.out))
     return EXIT_OK
 
@@ -336,26 +339,22 @@ def _batch_summary(batch: RolloutBatch, out_path: str) -> str:
 def _cmd_eval(args, cfg: EngineConfig) -> int:
     dataset = _load_nonempty(args.dataset)
     backend = build_backend(cfg)
-    if args.mode:
-        modes = [args.mode.replace("-", "_")]
-    else:
-        modes = [m.replace("-", "_") for m in cfg.eval.modes]
-    for mode in modes:
+    for mode in cfg.eval.modes:
         report = evaluate(
             backend, dataset, mode,
-            k=args.k if args.k is not None else cfg.eval.k,
+            k=cfg.eval.k,
             budgets=cfg.budgets,
             seed=args.seed,
             reward_cfg=cfg.rewards,
             vocab=cfg.eval.reflection_vocab(),
-            parallelism=args.parallelism if args.parallelism is not None else cfg.rollout.parallelism,
+            parallelism=cfg.rollout.parallelism,
             single_turn_tokens=cfg.eval.single_turn_tokens,
         )
         payload = report.to_dict()
         payload["config_hash"] = config_hash(cfg)
         payload["seed"] = args.seed
         out = args.out
-        if len(modes) > 1:
+        if len(cfg.eval.modes) > 1:
             stem, suffix = os.path.splitext(args.out)  # the file name's suffix only
             out = f"{stem}.{mode}{suffix}"
         with open(out, "w", encoding="utf-8") as fh:
@@ -442,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        cfg = load_config(args.config, (args.overrides or []) + _flag_overrides(args))
+        cfg = load_config(args.config, args.overrides, _flag_values(args))
         if args.print_config:
             import yaml
             print(yaml.safe_dump(config_to_dict(cfg), sort_keys=False).rstrip())

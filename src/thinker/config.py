@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .backend import Backend, BackendConfig, HttpBackend, ScriptedPolicyBackend
 from .errors import ConfigError
-from .evaluation import EVAL_MODES, ReflectionVocab
+from .evaluation import EVAL_MODES, SINGLE_TURN_TOKENS, ReflectionVocab
 from .rewards import RewardConfig
 from .task import StageBudgets
 
@@ -37,13 +37,14 @@ class RolloutConfig:
 @dataclass(frozen=True)
 class EvalConfig:
     k: int = 16
-    vocab: tuple[str, ...] = ("wait", "however", "alternatively")
+    vocab: tuple[str, ...] = ReflectionVocab.terms
     modes: tuple[str, ...] = ("thinker",)
-    single_turn_tokens: int = 8000
+    single_turn_tokens: int = SINGLE_TURN_TOKENS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vocab", tuple(self.vocab))
-        object.__setattr__(self, "modes", tuple(self.modes))
+        # one spelling per mode, so thinker-fast and thinker_fast hash alike
+        object.__setattr__(self, "modes", tuple(m.replace("-", "_") for m in self.modes))
         if self.k < 1:
             raise ValueError("eval.k must be >= 1")
         if not self.vocab:
@@ -51,7 +52,7 @@ class EvalConfig:
         if not self.modes:
             raise ValueError("eval.modes must be nonempty")
         for mode in self.modes:
-            if mode.replace("-", "_") not in EVAL_MODES:
+            if mode not in EVAL_MODES:
                 raise ValueError(f"eval.modes entry {mode!r} not one of {EVAL_MODES}")
         if self.single_turn_tokens < 1:
             raise ValueError("eval.single_turn_tokens must be >= 1")
@@ -164,8 +165,10 @@ def parse_override(text: str) -> tuple[str, object]:
     return key, value
 
 
-def load_config(path: str | None = None, overrides: list[str] | None = None) -> EngineConfig:
-    """Effective config = defaults, overlaid by the file, then by --set flags."""
+def load_config(path: str | None = None, overrides: list[str] | None = None,
+                values: dict[str, object] | None = None) -> EngineConfig:
+    """Effective config = defaults, overlaid by the file, then by --set
+    overrides, then by `values` (dotted key -> typed value, never parsed)."""
     tree: dict = {}
     if path is not None:
         import yaml
@@ -182,7 +185,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None) -> 
             raise ConfigError(f"config {path!r} must contain a mapping at the top level")
         tree = loaded
     for override in overrides or []:
-        key, value = parse_override(override)
+        _set_dotted(tree, *parse_override(override))
+    for key, value in (values or {}).items():
         _set_dotted(tree, key, value)
     return config_from_dict(tree)
 

@@ -30,6 +30,7 @@ logger = logging.getLogger("thinker.eval")
 THINKER = "thinker"
 THINKER_FAST = "thinker_fast"
 EVAL_MODES = (THINKER, THINKER_FAST, SINGLE_TURN)
+SINGLE_TURN_TOKENS = 8000  # the one-shot baseline's token budget
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,7 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
              reward_cfg: RewardConfig | None = None,
              vocab: ReflectionVocab | None = None,
              parallelism: int = 1,
-             single_turn_tokens: int = 8000) -> BenchmarkReport:
+             single_turn_tokens: int = SINGLE_TURN_TOKENS) -> BenchmarkReport:
     """Measure pass@1 accuracy over k samples per question.
 
     Questions whose samples all fail are excluded from accuracy (with a

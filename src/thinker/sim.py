@@ -111,21 +111,16 @@ def rejection_rate(params: PolicyParams) -> float:
     return params.p_fast * (1.0 - params.t_p) + (1.0 - params.p_fast) * params.t_n
 
 
-def analytic_expected_tokens(params: PolicyParams,
-                             budgets: StageBudgets | None = None,
-                             mean_stage_lengths: tuple[float, float, float] | None = None) -> float:
+def analytic_expected_tokens(params: PolicyParams, budgets: StageBudgets | None = None) -> float:
     """Expected inference tokens: fast + verify always, slow when rejected.
 
-    Stage lengths default to the policy's own response lengths and are
-    clamped to the stage budgets, matching truncation in the engine.
+    Stage lengths are the policy's own response lengths, clamped to the
+    stage budgets, matching truncation in the engine.
     """
     budgets = budgets or StageBudgets()
-    if mean_stage_lengths is None:
-        mean_stage_lengths = (params.fast_tokens, params.verify_tokens, params.slow_tokens)
-    fast, verify, slow = mean_stage_lengths
-    fast = min(fast, budgets.fast_tokens)
-    verify = min(verify, budgets.verify_tokens)
-    slow = min(slow, budgets.slow_tokens)
+    fast = min(params.fast_tokens, budgets.fast_tokens)
+    verify = min(params.verify_tokens, budgets.verify_tokens)
+    slow = min(params.slow_tokens, budgets.slow_tokens)
     return fast + verify + rejection_rate(params) * slow
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -251,14 +252,69 @@ class TestEval:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.single_turn", "report.thinker"]
 
-    def test_empty_dataset_is_data_error(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("command", ["eval", "rollout"])
+    def test_empty_dataset_is_data_error(self, command, tmp_path, capsys, monkeypatch):
         data = tmp_path / "empty.jsonl"
         data.write_text("")
         report_path = tmp_path / "report.json"
         monkeypatch.setattr(cli, "build_backend", lambda cfg: pytest.fail("backend built"))
-        assert run_cli("eval", "--dataset", str(data), "--out", str(report_path)) == 5
+        assert run_cli(command, "--dataset", str(data), "--out", str(report_path)) == 5
         assert f"data error: dataset {str(data)!r} is empty" in capsys.readouterr().err
         assert not report_path.exists()
+
+
+_EVAL = ("eval", "--dataset", "{data}", "--seed", "3")
+_ROLLOUT = ("rollout", "--dataset", "{data}", "--seed", "9")
+_ROLLOUT_FLAGS = ("--batch-size", "3", "--samples-per-prompt", "2", "--parallelism", "2")
+
+
+class TestFlagsSetConfigKeys:
+    """A shorthand flag sets the config key it stands for: its run writes the
+    bytes of the matching --set, config_hash included, and --print-config
+    shows it."""
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "5", "--seed", "4", "--out", str(path))
+        return str(path)
+
+    @staticmethod
+    def written(tmp_path, data, *argv) -> bytes:
+        out = tmp_path / "out"
+        assert run_cli(*[arg.format(data=data) for arg in argv], "--out", str(out)) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("flagged, set_forms", [
+        ((*_EVAL, "--k", "2"), [("--set", "eval.k=2", *_EVAL)]),
+        ((*_ROLLOUT, *_ROLLOUT_FLAGS),
+         [("--set", "rollout.batch_size=3", "--set", "rollout.samples_per_prompt=2",
+           "--set", "rollout.parallelism=2", *_ROLLOUT)]),
+        ((*_EVAL, "--k", "2", "--mode", "thinker-fast"),
+         [("--set", "eval.modes=[thinker_fast]", *_EVAL, "--k", "2"),
+          ("--set", "eval.modes=[thinker-fast]", *_EVAL, "--k", "2")]),
+    ], ids=["eval-k", "rollout-counts", "eval-mode"])
+    def test_flag_writes_the_bytes_of_its_set(self, flagged, set_forms, data, tmp_path, capsys):
+        expected = self.written(tmp_path, data, *flagged)
+        for argv in set_forms:
+            assert self.written(tmp_path, data, *argv) == expected, argv
+
+    @pytest.mark.parametrize("command, flags, shown", [
+        (_EVAL, ("--k", "3", "--mode", "single-turn", "--parallelism", "2", "--p-fast", "0.25"),
+         "\n  k: 3\n"),
+        (_ROLLOUT, (*_ROLLOUT_FLAGS, "--t-p", "0.9"), "\n  batch_size: 3\n"),
+    ], ids=["eval", "rollout"])
+    def test_printed_config_reproduces_the_run(self, command, flags, shown, data, tmp_path,
+                                               capsys):
+        assert run_cli("--print-config", *[arg.format(data=data) for arg in command], *flags) == 0
+        printed = capsys.readouterr().out
+        assert shown in printed
+        config = tmp_path / "printed.yaml"
+        config.write_text(printed)
+        expected = self.written(tmp_path, data, *command, *flags)
+        assert self.written(tmp_path, data, "--config", str(config), *command) == expected
+        cfg_hash = re.search(rb'"config_hash": "([0-9a-f]{16})"', expected).group(1).decode()
+        assert printed.endswith(f"# config_hash={cfg_hash}\n")
 
 
 class TestSimulate:

@@ -99,7 +99,7 @@ class TestBuild:
 
     def test_eval_modes_validated(self):
         cfg = config_from_dict({"eval": {"modes": ["thinker", "thinker-fast"]}})
-        assert cfg.eval.modes == ("thinker", "thinker-fast")
+        assert cfg.eval.modes == ("thinker", "thinker_fast")  # stored in one spelling
         with pytest.raises(ConfigError, match="modes"):
             config_from_dict({"eval": {"modes": ["zen"]}})
         with pytest.raises(ConfigError, match="modes"):
@@ -124,6 +124,19 @@ class TestLoadAndOverride:
         path.write_text("eval:\n  k: 4\n")
         cfg = load_config(str(path), ["eval.k=9"])
         assert cfg.eval.k == 9
+
+    def test_typed_values_win_over_overrides(self, tmp_path):
+        path = tmp_path / "engine.yaml"
+        path.write_text("eval:\n  k: 4\n")
+        cfg = load_config(str(path), ["eval.k=9", "rollout.batch_size=5"],
+                          {"eval.k": 2, "eval.modes": ["single-turn"]})
+        assert (cfg.eval.k, cfg.eval.modes, cfg.rollout.batch_size) == (2, ("single_turn",), 5)
+
+    def test_typed_values_are_checked(self):
+        with pytest.raises(ConfigError, match="eval.k: expected an integer"):
+            load_config(None, None, {"eval.k": "2"})
+        with pytest.raises(ConfigError, match="unknown config key 'eval.kk'"):
+            load_config(None, None, {"eval.kk": 2})
 
     def test_override_parses_scalars(self):
         assert parse_override("rewards.logprob_coef=1e-4") == ("rewards.logprob_coef", 1e-4)
@@ -156,6 +169,15 @@ class TestLoadAndOverride:
 class TestHash:
     def test_stable_for_equal_configs(self):
         assert config_hash(EngineConfig()) == config_hash(EngineConfig())
+
+    def test_default_hash_pinned(self):
+        # every output file of a default run embeds this value
+        assert config_hash(EngineConfig()) == "ebed2bc047c17f44"
+
+    def test_mode_spellings_hash_alike(self):
+        hashes = {config_hash(config_from_dict({"eval": {"modes": [mode]}}))
+                  for mode in ("thinker_fast", "thinker-fast")}
+        assert len(hashes) == 1
 
     def test_changes_with_any_value(self):
         base = config_hash(EngineConfig())

@@ -100,14 +100,16 @@ class TestAnalyticTokens:
         assert analytic_expected_tokens(params) == pytest.approx(expected)
 
     def test_worked_example(self):
-        params = PolicyParams(p_fast=0.5, t_p=1.0, t_n=1.0)
-        value = analytic_expected_tokens(params, StageBudgets(), (600, 400, 3000))
+        params = PolicyParams(p_fast=0.5, t_p=1.0, t_n=1.0,
+                              fast_tokens=600, verify_tokens=400, slow_tokens=3000)
+        value = analytic_expected_tokens(params, StageBudgets())
         assert value == pytest.approx(600 + 400 + 0.5 * 3000)
 
     def test_budget_clamps_lengths(self):
-        params = PolicyParams(t_p=0.0, t_n=1.0)
+        params = PolicyParams(t_p=0.0, t_n=1.0,
+                              fast_tokens=600, verify_tokens=400, slow_tokens=3000)
         budgets = StageBudgets(fast_tokens=100, verify_tokens=100, slow_tokens=100)
-        value = analytic_expected_tokens(params, budgets, (600, 400, 3000))
+        value = analytic_expected_tokens(params, budgets)
         assert value == pytest.approx(300)
 
     def test_nonincreasing_in_t_p(self):
