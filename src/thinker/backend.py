@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import time
@@ -137,25 +138,42 @@ class PolicyParams:
         for name in ("fast_tokens", "verify_tokens", "slow_tokens", "summary_tokens"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be >= 8 (room for the closing sentence)")
-        if self.logprob_per_token > 0:
-            raise ValueError("logprob_per_token must be <= 0")
+        if not -math.inf < self.logprob_per_token <= 0:  # NaN included
+            raise ValueError("logprob_per_token must be finite and <= 0")
 
 
 _FILLER = ("Working", "through", "the", "given", "quantities", "step", "by", "step.")
 _SLOW_FILLER = ("However,", "the", "earlier", "approach", "missed", "a", "case;", "reworking", "it", "now.")
 
 
+# Entries kept by the filler memo; see _filler for the sizing.
+FILLER_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=FILLER_CACHE_SIZE)
+def _filler(lead_words: tuple[str, ...], pad: int) -> str:
+    """The first pad words of lead_words repeated (whole cycles, then the
+    partial one), space-separated, memoized.
+
+    A policy asks for a few fillers only: one per stage and tail length,
+    and the tail's length changes only with whitespace in an answer. So
+    FILLER_CACHE_SIZE (32) entries hold every live filler of a run. An
+    entry takes under 7 bytes per filler word (35 kB for a 5,500-token slow
+    response), so the memo holds at most 32 x the longest stage response.
+    """
+    cycles, rest = divmod(pad, len(lead_words))
+    return " ".join([" ".join(lead_words)] * cycles + list(lead_words[:rest]))
+
+
 def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str,
             max_tokens: int) -> GenerationResult:
     """total_tokens whitespace tokens (or the tail's, if more) ending with
-    *tail*, clipped to max_tokens by truncate_to_budget. Lead words hold no
-    whitespace, so the count is known without splitting the text, and the
-    filler is joined from whole cycles of lead_words."""
+    the nonempty *tail*, clipped to max_tokens by truncate_to_budget. Lead
+    words hold no whitespace, so the count is known without splitting the
+    text, and the filler before the tail is built once per length."""
     tail_len = len(tail.split())
     pad = max(total_tokens - tail_len, 0)
-    cycles, rest = divmod(pad, len(lead_words))
-    parts = [" ".join(lead_words)] * cycles + [" ".join(lead_words[:rest]), tail]
-    text = " ".join(filter(None, parts))  # skip an empty last cycle
+    text = _filler(lead_words, pad) + " " + tail if pad else tail
     if pad + tail_len > max_tokens:
         return GenerationResult(*truncate_to_budget(text, max_tokens))
     return GenerationResult(text, pad + tail_len, FINISH_STOP)

@@ -3,7 +3,7 @@
 Subcommands: grade (stdin pairs), episode (one dialogue), rollout (batch +
 transcript file), eval (benchmark report), simulate (analytic vs Monte
 Carlo), gen-data (synthetic dataset). Exit codes: 0 ok, 2 usage, 3 config,
-4 backend, 5 I/O.
+4 backend, 5 I/O, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_BACKEND = 4
 EXIT_IO = 5
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +435,19 @@ _COMMANDS = {
 }
 
 
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    cfg = load_config(args.config, args.overrides, _flag_values(args))
+    if args.print_config:
+        import yaml
+        print(yaml.safe_dump(config_to_dict(cfg), sort_keys=False).rstrip())
+        print(f"# config_hash={config_hash(cfg)}")
+        return EXIT_OK
+    if not args.command:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    return _COMMANDS[args.command](args, cfg)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -441,16 +455,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed the message
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        cfg = load_config(args.config, args.overrides, _flag_values(args))
-        if args.print_config:
-            import yaml
-            print(yaml.safe_dump(config_to_dict(cfg), sort_keys=False).rstrip())
-            print(f"# config_hash={config_hash(cfg)}")
-            return EXIT_OK
-        if not args.command:
-            parser.print_usage(sys.stderr)
-            return EXIT_USAGE
-        return _COMMANDS[args.command](args, cfg)
+        status = _run(parser, args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader left early (`thinker ... | head -1`): stop quietly, and let
+        # the rest of the buffered output drain into devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,6 +10,7 @@ term, gated to zero below a minimum length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from statistics import fmean
 
@@ -51,8 +52,8 @@ class RewardConfig:
     trailing: TrailingConfig = field(default_factory=TrailingConfig)
 
     def __post_init__(self) -> None:
-        if self.logprob_coef < 0:
-            raise ValueError("logprob_coef must be >= 0")
+        if not 0.0 <= self.logprob_coef < math.inf:  # NaN included
+            raise ValueError("logprob_coef must be finite and >= 0")
         if self.min_summary_tokens < 0:
             raise ValueError("min_summary_tokens must be >= 0")
 

@@ -20,6 +20,7 @@ Routing table applied by :func:`advance`:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -105,6 +106,8 @@ class StageBudgets:
         for name in ("fast_tokens", "verify_tokens", "slow_tokens", "summary_tokens"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0.0 <= self.temperature < math.inf:  # NaN included
+            raise ValueError("temperature must be finite and >= 0")
         if not 0.0 < self.summary_temperature <= 1.0:
             raise ValueError("summary_temperature must be in (0, 1]")
 

@@ -7,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thinker.backend import (
+    _FILLER,
+    _SLOW_FILLER,
     FINISH_LENGTH,
     FINISH_STOP,
     GenerationRequest,
+    GenerationResult,
     BackendConfig,
     HttpBackend,
     PolicyParams,
@@ -19,6 +22,8 @@ from thinker.backend import (
     scripted_respond,
     truncate_to_budget,
     wrong_answer,
+    _filler,
+    _padded,
 )
 from thinker.dataset import QAItem
 from thinker.errors import BackendError, LogprobUnsupportedError
@@ -154,6 +159,49 @@ class TestWrongAnswer:
 
 # a budget no scripted stage reaches, so responses come back unclipped
 BUDGET = 8000
+
+
+def _padded_by_join(lead_words, total_tokens, tail, max_tokens):
+    """The filler and tail joined word by word, as before the filler memo."""
+    tail_len = len(tail.split())
+    pad = max(total_tokens - tail_len, 0)
+    cycles, rest = divmod(pad, len(lead_words))
+    parts = [" ".join(lead_words)] * cycles + [" ".join(lead_words[:rest]), tail]
+    text = " ".join(filter(None, parts))  # skip an empty last cycle
+    if pad + tail_len > max_tokens:
+        return truncate_to_budget(text, max_tokens)
+    return text, pad + tail_len, FINISH_STOP
+
+
+class TestPadded:
+    """_padded builds its filler once per length; the text must not change."""
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_equals_join_reference(self, data):
+        lead = data.draw(st.sampled_from([_FILLER, _SLOW_FILLER]))
+        answer = data.draw(st.text(alphabet="7x/ \t\n", min_size=1, max_size=8))
+        template = data.draw(st.sampled_from(["The final answer is \\boxed{{{}}}.", "\\boxed{{{}}}",
+                                              "</think> The refined answer is \\boxed{{{}}}."]))
+        tail = template.format(answer)
+        tail_len = len(tail.split())
+        total = data.draw(st.one_of(
+            st.integers(0, 80),
+            st.integers(0, 4).map(lambda k: tail_len + k * len(lead)),  # whole cycles, pad 0 included
+        ))
+        budget = data.draw(st.integers(1, max(total, tail_len) + 3))
+        expected = _padded_by_join(lead, total, tail, budget)
+        for _ in range(2):  # the second call finds the filler in the memo
+            result = _padded(lead, total, tail, budget)
+            assert (result.text, result.token_count, result.finish_reason) == expected
+
+    def test_filler_miss_then_hit(self):
+        _filler.cache_clear()
+        first = _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET)
+        assert (_filler.cache_info().hits, _filler.cache_info().misses) == (0, 1)
+        assert _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET) == first
+        assert (_filler.cache_info().hits, _filler.cache_info().misses) == (1, 1)
+        assert first == GenerationResult(*_padded_by_join(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET))
 
 
 class TestScriptedPolicy:

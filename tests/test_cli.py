@@ -1,7 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,9 @@ from thinker.dataset import load_dataset
 
 from conftest import fixture_map
 from mock_backend import MockBackend
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -427,6 +434,30 @@ class TestTopLevel:
         cfg.write_bytes(b"a: \xff\n")
         assert run_cli("--config", str(cfg), "simulate", "--episodes", "10") == 3
         assert f"config error: cannot read config {str(cfg)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["backend.policy.logprob_per_token=.nan",
+                                          "rewards.logprob_coef=.nan", "rewards.logprob_coef=.inf",
+                                          "budgets.temperature=.nan", "budgets.temperature=-1"])
+    def test_non_finite_setting_is_config_error(self, override, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
+        assert run_cli("--set", override, "simulate", "--episodes", "10") == 3
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--print-config"], ["simulate", "--episodes", "10"]])
+    @pytest.mark.parametrize("unbuffered", ["", "1"])  # "": block-buffered, as a console script
+    def test_closed_stdout_exits_quietly(self, argv, unbuffered, tmp_path):
+        # as under `thinker ... | head -1`, but the read end is closed before
+        # the first write, so every run meets the closed pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from thinker.cli import main; sys.exit(main())", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered))
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_config_file_applies(self, tmp_path, capsys):
         cfg = tmp_path / "engine.yaml"

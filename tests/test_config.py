@@ -77,6 +77,24 @@ class TestBuild:
         with pytest.raises(ConfigError, match="backend"):
             config_from_dict({"backend": {"kind": "carrier-pigeon"}})
 
+    # each would reach a reward as NaN or +-inf, or a request body that
+    # json.dumps(allow_nan=False) refuses or a server should never see
+    @pytest.mark.parametrize("section, key, value", [
+        ("backend.policy", "logprob_per_token", float("nan")),
+        ("backend.policy", "logprob_per_token", float("-inf")),
+        ("rewards", "logprob_coef", float("nan")),
+        ("rewards", "logprob_coef", float("inf")),
+        ("budgets", "temperature", float("nan")),
+        ("budgets", "temperature", float("inf")),
+        ("budgets", "temperature", -0.5),
+    ])
+    def test_non_finite_or_negative_rejected(self, section, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            load_config(values={f"{section}.{key}": value})
+
+    def test_zero_temperature_allowed(self):
+        assert config_from_dict({"budgets": {"temperature": 0}}).budgets.temperature == 0.0
+
     def test_vocab_list_becomes_tuple(self):
         cfg = config_from_dict({"eval": {"vocab": ["wait", "hmm"]}})
         assert cfg.eval.vocab == ("wait", "hmm")

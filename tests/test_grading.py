@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker.backend import wrong_answer
+from thinker.backend import _filler, wrong_answer
 from thinker.grading import (
     ExtractedAnswer,
     Verdict,
@@ -202,7 +202,8 @@ class TestAnswersEqual:
 
 
 class TestParseMemo:
-    """from_raw and wrong_answer are memoized; the memo must change nothing."""
+    """from_raw and wrong_answer are memoized (and the scripted filler, tested
+    with the backends); the memo must change nothing."""
 
     answers = st.one_of(
         st.text(max_size=40),
@@ -222,7 +223,7 @@ class TestParseMemo:
             assert wrong_answer(s) == wrong_answer.__wrapped__(s)
 
     def test_caches_are_bounded(self):
-        for memo in (ExtractedAnswer.from_raw, wrong_answer):
+        for memo in (ExtractedAnswer.from_raw, wrong_answer, _filler):
             maxsize = memo.cache_info().maxsize
             assert isinstance(maxsize, int) and maxsize > 0
 

@@ -3,26 +3,30 @@
 The digests were recorded before eval samples became transcripts, before
 batch and eval shared one token reducer, (the clipped batches) before the
 scripted policy counted its responses' tokens without splitting their text,
-and (the advantages) before compute_gae carried the next value through its
-loop; a refactor that changes a report, a transcript file or one bit of an
-advantage fails here.
+(the advantages) before compute_gae carried the next value through its
+loop, and (the long simulated episodes) before the scripted policy built
+each filler once; a refactor that changes a report, a transcript file, a
+Monte Carlo estimate or one bit of an advantage fails here.
 """
 
 import hashlib
 import json
 import random
 import struct
+from dataclasses import asdict
 
 import pytest
 
 from thinker.backend import PolicyParams, ScriptedPolicyBackend
 from thinker.cli import write_transcripts
 from thinker.evaluation import SINGLE_TURN, THINKER, THINKER_FAST, evaluate
-from thinker.rollout import Trajectory, compute_gae, per_token_rewards, run_batch
-from thinker.sim import SyntheticTaskConfig, gen_synthetic
-from thinker.task import Mode, StageBudgets
+from thinker.rollout import Trajectory, compute_gae, per_token_rewards, run_batch, run_episode
+from thinker.sim import SyntheticTaskConfig, gen_synthetic, monte_carlo
+from thinker.task import Mode, Stage, StageBudgets
 
 POLICY = PolicyParams(p_fast=0.4, t_p=0.8, t_n=0.7, p_slow=0.6)
+# the simulate-long benchmark's policy: responses about ten times the default length
+LONG_POLICY = PolicyParams(p_fast=0.2, fast_tokens=900, verify_tokens=300, slow_tokens=5500)
 
 
 def _sha(data: bytes) -> str:
@@ -91,3 +95,18 @@ def test_training_batch_advantages_bits(gamma, lam, digest):
         for a in compute_gae(per_token_rewards(traj), values, traj.boundaries, gamma=gamma, lam=lam):
             h.update(struct.pack("<d", a))
     assert h.hexdigest() == digest
+
+
+def test_long_monte_carlo_estimates_bytes():
+    accuracy, tokens = monte_carlo(LONG_POLICY, 64, seed=9)
+    assert _sha(json.dumps([asdict(accuracy), asdict(tokens)], sort_keys=True).encode("utf-8")) == \
+        "b51de72e8653e9210e1e452a61501e67f96649a26fb5856c4efe22bd4ffa1069"
+
+
+def test_long_inference_transcript_bytes(tmp_path):
+    transcript = run_episode(ScriptedPolicyBackend(LONG_POLICY), _dataset().items[0], Mode.INFERENCE, seed=3)
+    assert [turn.stage for turn in transcript.turns] == \
+        [Stage.FAST_THINKING, Stage.VERIFICATION, Stage.SLOW_THINKING]
+    path = tmp_path / "long.jsonl"
+    write_transcripts(str(path), [transcript], "fence")
+    assert _sha(path.read_bytes()) == "83f3332a203a76273d995f07b125cbaaab88dda8924b015833f0ef1130b9b4a0"
