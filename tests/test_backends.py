@@ -1,3 +1,4 @@
+import random
 import re
 import sys
 import threading
@@ -202,6 +203,67 @@ class TestPadded:
         assert _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET) == first
         assert (_filler.cache_info().hits, _filler.cache_info().misses) == (1, 1)
         assert first == GenerationResult(*_padded_by_join(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET))
+
+
+def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
+                        fast_correct=None, slow_answer=None):
+    """scripted_respond as it was before it seeded only the stages that draw:
+    one random.Random(rng_seed) made first, whatever the stage."""
+    rng = random.Random(rng_seed)
+    if stage is Stage.FAST_THINKING:
+        correct = rng.random() < params.p_fast
+        answer = question_answer if correct else wrong_answer(question_answer)
+        tail = f"The final answer is \\boxed{{{answer}}}."
+        return _padded(_FILLER, params.fast_tokens, tail, max_tokens)
+    if stage is Stage.VERIFICATION:
+        if fast_correct is None:
+            raise ValueError("verification response needs fast_correct")
+        if fast_correct:
+            verdict = "Yes" if rng.random() < params.t_p else "No"
+        else:
+            verdict = "No" if rng.random() < params.t_n else "Yes"
+        tail = f"\\boxed{{{verdict}}}"
+        return _padded(_FILLER, params.verify_tokens, tail, max_tokens)
+    if stage is Stage.SLOW_THINKING:
+        p_slow = params.p_slow
+        if fast_correct and params.p_slow_given_fast_correct is not None:
+            p_slow = params.p_slow_given_fast_correct
+        correct = rng.random() < p_slow
+        answer = question_answer if correct else wrong_answer(question_answer)
+        tail = f"</think> The refined answer is \\boxed{{{answer}}}."
+        return _padded(_SLOW_FILLER, params.slow_tokens, tail, max_tokens)
+    answer = slow_answer if slow_answer is not None else question_answer
+    tail = f"The final answer is \\boxed{{{answer}}}."
+    return _padded(_FILLER, params.summary_tokens, tail, max_tokens)
+
+
+class TestRespondSeeding:
+    """scripted_respond seeds a generator only where it draws; the responses
+    must not change."""
+
+    @given(st.data())
+    @settings(max_examples=1000, deadline=None)
+    def test_equals_seed_first_reference(self, data):
+        probability = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.5, 1.0])
+        p_fast, t_p, t_n, p_slow = data.draw(st.tuples(*[probability] * 4))
+        fast, verify, slow, summary = data.draw(st.tuples(*[st.integers(8, 40)] * 4))
+        params = PolicyParams(p_fast=p_fast, t_p=t_p, t_n=t_n, p_slow=p_slow,
+                              p_slow_given_fast_correct=data.draw(st.none() | probability),
+                              fast_tokens=fast, verify_tokens=verify, slow_tokens=slow,
+                              summary_tokens=summary)
+        stage = data.draw(st.sampled_from(list(Stage)))
+        answer = data.draw(st.sampled_from(["7", "-3/4", "x", "2 5"]))
+        kwargs = dict(rng_seed=data.draw(st.integers(0, 2 ** 63 - 1)),
+                      max_tokens=data.draw(st.integers(1, 60)),  # clipped now and then
+                      fast_correct=data.draw(st.none() | st.booleans()),
+                      slow_answer=data.draw(st.none() | st.sampled_from(["7", "8", "y z"])))
+        if stage is Stage.VERIFICATION and kwargs["fast_correct"] is None:
+            for respond in (scripted_respond, _respond_seed_first):
+                with pytest.raises(ValueError, match="fast_correct"):
+                    respond(stage, answer, params, **kwargs)
+            return
+        assert scripted_respond(stage, answer, params, **kwargs) == \
+            _respond_seed_first(stage, answer, params, **kwargs)
 
 
 class TestScriptedPolicy:
@@ -480,6 +542,12 @@ class TestHttpBackend:
     def test_unusable_limits_rejected(self):
         with pytest.raises(ValueError):
             HttpBackend(BackendConfig(kind="http", timeout_s=0))
+
+    @pytest.mark.parametrize("name, value", [("timeout_s", float("nan")), ("timeout_s", float("inf")),
+                                             ("backoff_s", float("nan")), ("backoff_s", float("inf"))])
+    def test_non_finite_timing_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"backend.{name} must be finite"):
+            BackendConfig(kind="http", **{name: value})
 
     def test_parallelism_bounds_requests_in_flight(self):
         # the first request of each of 9 episodes is answered only once all

@@ -105,6 +105,17 @@ class TestEpisode:
         assert code == 3
         assert "backend.base_url must be an http:// or https:// URL" in capsys.readouterr().err
 
+    # each reached the socket or time.sleep and ended the run with a traceback
+    @pytest.mark.parametrize("override", ["backend.timeout_s=.nan", "backend.timeout_s=.inf",
+                                          "backend.backoff_s=.nan", "backend.backoff_s=.inf"])
+    def test_non_finite_http_timing_is_config_error(self, override, capsys):
+        code = run_cli("--set", "backend.base_url=http://127.0.0.1:9/v1",
+                       "--set", "backend.max_attempts=2", "--set", override,
+                       "episode", "--backend", "http",
+                       "--question", "Compute 1 + 1.", "--answer", "2")
+        assert code == 3
+        assert "config error" in capsys.readouterr().err
+
     def test_dataset_with_byte_order_mark(self, tmp_path, capsys):
         data = tmp_path / "bom.jsonl"
         data.write_bytes(b'\xef\xbb\xbf{"question": "Compute 1 + 1.", "answer": "2"}\n')

@@ -10,6 +10,7 @@ from thinker.task import (
     Mode,
     Stage,
     StageBudgets,
+    StageRewards,
     Turn,
     advance,
     begin_episode,
@@ -252,3 +253,31 @@ class TestTurnKey:
     def test_stage_key_or_single_turn(self):
         assert Turn(Stage.SLOW_THINKING, "p", "r", 1, "stop").key == "slow_thinking"
         assert Turn(None, "p", "r", 1, "stop").key == "single_turn"
+
+
+# each member's key and its field on StageBudgets and on StageRewards
+_STAGE_FIELDS = {
+    Stage.FAST_THINKING: ("fast_thinking", "fast_tokens", "fast"),
+    Stage.VERIFICATION: ("verification", "verify_tokens", "verify"),
+    Stage.SLOW_THINKING: ("slow_thinking", "slow_tokens", "slow"),
+    Stage.SUMMARIZATION: ("summarization", "summary_tokens", "summary"),
+}
+
+
+class TestStageTables:
+    """Per-stage data is looked up in tables keyed by member; every member
+    must reach its own named field."""
+
+    def test_every_member_reads_its_named_fields(self):
+        assert set(_STAGE_FIELDS) == set(Stage)
+        budgets = StageBudgets(fast_tokens=11, verify_tokens=22, slow_tokens=33, summary_tokens=44,
+                               temperature=0.9, summary_temperature=0.3)
+        rewards = StageRewards(fast=0.1, verify=0.2, slow=0.3, summary=0.4)
+        for stage in Stage:
+            key, budget_field, reward_field = _STAGE_FIELDS[stage]
+            assert stage.key == key == stage.name.lower()
+            assert Turn(stage, "p", "r", 1, "stop").key == key
+            assert budgets.budget_for(stage) == getattr(budgets, budget_field)
+            assert rewards.for_stage(stage) == getattr(rewards, reward_field)
+            assert budgets.temperature_for(stage) == (0.3 if stage is Stage.SUMMARIZATION else 0.9)
+        assert rewards.for_stage(None) is None
