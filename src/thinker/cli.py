@@ -35,9 +35,7 @@ from .sim import (
     monte_carlo,
     sweep,
 )
-from .task import Mode, Stage, Transcript
-
-_VERIFY = Stage.VERIFICATION  # bound once: Stage.X costs 144 ns on CPython 3.10/3.11
+from .task import VERIFY, Mode, Transcript
 
 TRANSCRIPT_SCHEMA_VERSION = 1
 
@@ -47,6 +45,8 @@ EXIT_CONFIG = 3
 EXIT_BACKEND = 4
 EXIT_IO = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
+
+MAX_SWEEP_VALUES = 10_000  # each value is a whole monte_carlo run
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,7 @@ def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
     """
     stages = []
     for turn in transcript.turns:
-        if turn.stage is _VERIFY:
+        if turn.stage is VERIFY:
             extracted = transcript.verdict.value if transcript.verdict else None
         else:
             answer = transcript.answers.get(turn.stage)
@@ -377,7 +377,10 @@ def _parse_sweep(spec: str) -> tuple[str, list[float]]:
         raise ConfigError(f"bad sweep spec {spec!r}; expected NAME=START:STOP:STEP") from None
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
         raise ConfigError(f"bad sweep range {spec!r}; expected finite START <= STOP and STEP > 0")
-    count = int(round((stop - start) / step))
+    span = (stop - start) / step  # inf when the range overflows or the step underflows
+    if not span < MAX_SWEEP_VALUES - 0.5:  # more than MAX_SWEEP_VALUES values once rounded
+        raise ConfigError(f"sweep {spec!r} has more than {MAX_SWEEP_VALUES} values")
+    count = int(round(span))
     values = [round(start + i * step, 10) for i in range(count + 1)]
     return name.strip(), [v for v in values if v <= stop + 1e-9]
 

@@ -51,6 +51,8 @@ class EvalConfig:
             raise ValueError("eval.vocab must be nonempty")
         if not self.modes:
             raise ValueError("eval.modes must be nonempty")
+        if len(set(self.modes)) < len(self.modes):
+            raise ValueError(f"eval.modes entries must be distinct, got {list(self.modes)}")
         for mode in self.modes:
             if mode not in EVAL_MODES:
                 raise ValueError(f"eval.modes entry {mode!r} not one of {EVAL_MODES}")

@@ -22,7 +22,7 @@ from .grading import answers_equal, extract_boxed
 from .rewards import RewardConfig
 from .rollout import run_all, run_episode, stage_request, token_means
 # advance is unused here, but the benchmark's tracer patches evaluation.advance
-from .task import (SINGLE_TURN, Mode, StageBudgets, Transcript, Turn, advance, begin_episode,
+from .task import (INFERENCE, SINGLE_TURN, StageBudgets, Transcript, Turn, advance, begin_episode,
                    render_single_turn_prompt)
 
 logger = logging.getLogger("thinker.eval")
@@ -109,14 +109,14 @@ class BenchmarkReport:
 def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_tokens) -> Transcript:
     """One graded sample. A backend failure marks it failed, as in run_episode."""
     if mode == THINKER:
-        return run_episode(backend, item, Mode.INFERENCE, budgets,
+        return run_episode(backend, item, INFERENCE, budgets,
                            seed=episode_seed, reward_cfg=reward_cfg)
     if mode == THINKER_FAST:
-        transcript = begin_episode(item, Mode.INFERENCE, budgets)
+        transcript = begin_episode(item, INFERENCE, budgets)
         # the full episode's first request, so both modes share the fast seed
         request = stage_request(transcript, episode_seed)
     else:  # one turn outside the stages: nothing to route
-        transcript = Transcript(Mode.INFERENCE, item, budgets, stage=None)
+        transcript = Transcript(INFERENCE, item, budgets, stage=None)
         request = GenerationRequest(
             messages=({"role": "user", "content": render_single_turn_prompt(item)},),
             max_tokens=single_turn_tokens,

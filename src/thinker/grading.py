@@ -28,10 +28,8 @@ class Verdict(Enum):
     MALFORMED = "malformed"
 
 
-# Bound once: a Verdict.X lookup runs EnumType.__getattr__ on CPython 3.10 and
-# 3.11, 144 ns on 3.11.7 against next to nothing for a global (see task.py).
-_MALFORMED = Verdict.MALFORMED
-_VERDICT_OF = {"yes": Verdict.YES, "no": Verdict.NO}
+YES, NO, MALFORMED = Verdict  # bound once; see task.py
+_VERDICT_OF = {"yes": YES, "no": NO}
 
 
 @dataclass(frozen=True)
@@ -184,5 +182,5 @@ def extract_verdict(text: str) -> Verdict:
     """
     boxed = extract_boxed(text)
     if boxed is None:
-        return _MALFORMED
-    return _VERDICT_OF.get(boxed.canonical.lower(), _MALFORMED)
+        return MALFORMED
+    return _VERDICT_OF.get(boxed.canonical.lower(), MALFORMED)

@@ -14,10 +14,7 @@ import math
 from dataclasses import dataclass, field
 from statistics import fmean
 
-from .grading import ExtractedAnswer, Verdict, answers_equal
-
-# Bound once: a Verdict.X lookup costs 144 ns on CPython 3.10/3.11 (see task.py).
-_YES, _NO = Verdict.YES, Verdict.NO
+from .grading import NO, YES, ExtractedAnswer, Verdict, answers_equal
 
 BATCH_MEAN = "batch_mean"
 EMA = "ema"
@@ -96,8 +93,8 @@ def reward_verify(fast_correct: bool, verdict: Verdict, tracker: TrailingAccurac
     if not 0.0 <= p <= 1.0:
         raise ValueError("trailing accuracy must be in [0, 1]")
     if fast_correct:
-        return (1.0 - p) if verdict is _YES else 0.0
-    return p if verdict is _NO else 0.0
+        return (1.0 - p) if verdict is YES else 0.0
+    return p if verdict is NO else 0.0
 
 
 def reward_summary(summary_answer: ExtractedAnswer | str | None,

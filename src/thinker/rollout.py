@@ -30,11 +30,9 @@ from .rewards import (
     reward_verify,
     update_trailing,
 )
-from .task import Mode, Stage, StageBudgets, Transcript, advance, begin_episode
+from .task import FAST, SLOW, SUMMARY, Mode, StageBudgets, Transcript, advance, begin_episode
 from .grading import answers_equal
 
-# Bound once, as in task.py: a Stage.X lookup costs 144 ns on CPython 3.10/3.11.
-_FAST, _SLOW, _SUMMARY = Stage.FAST_THINKING, Stage.SLOW_THINKING, Stage.SUMMARIZATION
 _DEFAULT_REWARDS = RewardConfig()  # frozen, so every call without a config shares it
 
 
@@ -87,10 +85,10 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
 
     answers = transcript.answers  # one key per executed answer stage
     transcript.correct = answers_equal(transcript.final_answer, item.answer)
-    transcript.rewards.fast = reward_fast(answers.get(_FAST), item.answer)
-    if _SLOW in answers:
-        transcript.rewards.slow = reward_slow(answers.get(_SLOW), item.answer)
-    if _SUMMARY in answers:
+    transcript.rewards.fast = reward_fast(answers.get(FAST), item.answer)
+    if SLOW in answers:
+        transcript.rewards.slow = reward_slow(answers.get(SLOW), item.answer)
+    if SUMMARY in answers:
         summary_turn = transcript.turns[-1]
         # the summary is scored against the fast-thinking prompt alone
         fast_prompt = ({"role": "user", "content": transcript.turns[0].prompt},)
@@ -102,8 +100,8 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
             transcript.logprob_available = False
         transcript.summary_logprob = logprob
         transcript.rewards.summary = reward_summary(
-            answers.get(_SUMMARY),
-            answers.get(_SLOW),
+            answers.get(SUMMARY),
+            answers.get(SLOW),
             logprob,
             summary_turn.token_count,
             reward_cfg,
@@ -156,6 +154,8 @@ def run_batch(backend: Backend, items: list[QAItem], mode: Mode, *,
     """
     if not items:
         raise ValueError("run_batch needs at least one item")
+    if samples_per_prompt < 1:
+        raise ValueError("samples_per_prompt must be >= 1")
     reward_cfg = reward_cfg or _DEFAULT_REWARDS
     specs = [
         (idx, item, j)

@@ -16,7 +16,7 @@ from statistics import fmean, stdev
 from .backend import PolicyParams, ScriptedPolicyBackend, derive_seed
 from .dataset import Dataset, QAItem
 from .rollout import run_episode
-from .task import Mode, StageBudgets
+from .task import INFERENCE, StageBudgets
 
 _OPS = ("+", "-", "*")
 
@@ -145,12 +145,14 @@ def monte_carlo(params: PolicyParams, n_episodes: int, seed: int,
     if dataset is None:
         dataset = gen_synthetic(SyntheticTaskConfig(
             n_items=min(n_episodes, 128), seed=derive_seed(seed, "synthetic-items")))
+    items = dataset.items
+    if not items:
+        raise ValueError("monte_carlo needs a nonempty dataset")
     backend = ScriptedPolicyBackend(params)
     correct, tokens = [], []
-    items = dataset.items
     for i in range(n_episodes):
         transcript = run_episode(
-            backend, items[i % len(items)], Mode.INFERENCE,
+            backend, items[i % len(items)], INFERENCE,
             budgets=budgets, seed=derive_seed(seed, "mc-episode", i))
         if transcript.failed:
             continue

@@ -28,7 +28,7 @@ from importlib import resources
 
 from .dataset import QAItem
 from .errors import EpisodeError
-from .grading import ExtractedAnswer, Verdict, answers_equal, extract_boxed, extract_verdict
+from .grading import YES, ExtractedAnswer, Verdict, answers_equal, extract_boxed, extract_verdict
 
 
 class Stage(IntEnum):
@@ -49,32 +49,27 @@ class Mode(Enum):
     INFERENCE = "inference"
 
 
-# The members the episode path names, bound once as globals. On CPython 3.10
-# and 3.11 every Stage.X or Mode.X lookup runs EnumType.__getattr__: 144 ns
-# against 27 ns for a plain class attribute and next to nothing for a global
-# (3.11.7 on a Xeon, net of loop cost); 3.12 dropped the hook. Each stage's
-# data sits in a table keyed by member for the same reason: budget_for and
-# for_stage built a four-entry dict of such lookups on every call, and
-# Stage.key read the name, itself an enum property, to lower() it.
-_FAST, _VERIFY, _SLOW, _SUMMARY = Stage  # in visiting order
-_TRAINING = Mode.TRAINING
-_YES = Verdict.YES
-_STAGE_KEY = {stage: stage.name.lower() for stage in Stage}
-_BUDGET_FIELD = {_FAST: "fast_tokens", _VERIFY: "verify_tokens", _SLOW: "slow_tokens",
-                 _SUMMARY: "summary_tokens"}
-_REWARD_FIELD = {_FAST: "fast", _VERIFY: "verify", _SLOW: "slow", _SUMMARY: "summary"}
+# Members bound once as globals, for every module to import (Verdict's are in
+# grading.py). On CPython 3.10 and 3.11 each Stage.X, Mode.X or Verdict.X
+# lookup runs EnumType.__getattr__: 144 ns against 27 ns for a plain class
+# attribute and next to nothing for a global (3.11.7 on a Xeon, net of loop
+# cost); 3.12 dropped the hook. Per-stage data is keyed by member likewise.
+FAST, VERIFY, SLOW, SUMMARY = Stage  # in visiting order
+TRAINING, INFERENCE = Mode
 
 
 # Key of the one-shot baseline's only turn, which belongs to no stage.
 SINGLE_TURN = "single_turn"
+# Turn.key of a stage's turn, and of the one-shot turn (stage None).
+_STAGE_KEY = {stage: stage.name.lower() for stage in Stage} | {None: SINGLE_TURN}
+# StageRewards field of each stage; its StageBudgets field adds "_tokens".
+_FIELD = {FAST: "fast", VERIFY: "verify", SLOW: "slow", SUMMARY: "summary"}
 
 
 # The assistant turn for slow thinking opens with the think marker already in
 # place; generation continues after it. Chat backends cannot prefill
 # assistant text, so the marker is prepended when the turn is recorded.
-RESPONSE_SEED: dict[Stage, str] = {_SLOW: "<think>\n"}
-
-_TEMPLATE_FILES = {stage: f"{key}.txt" for stage, key in _STAGE_KEY.items()}
+RESPONSE_SEED: dict[Stage, str] = {SLOW: "<think>\n"}
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +79,7 @@ def load_template(name: str) -> str:
 
 
 def stage_template(stage: Stage) -> str:
-    return load_template(_TEMPLATE_FILES[stage])
+    return load_template(f"{_STAGE_KEY[stage]}.txt")
 
 
 def render_prompt(stage: Stage, item: QAItem) -> str:
@@ -114,19 +109,19 @@ class StageBudgets:
     summary_temperature: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in _BUDGET_FIELD.values():
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in _FIELD.values():
+            if getattr(self, f"{name}_tokens") <= 0:
+                raise ValueError(f"{name}_tokens must be positive")
         if not 0.0 <= self.temperature < math.inf:  # NaN included
             raise ValueError("temperature must be finite and >= 0")
         if not 0.0 < self.summary_temperature <= 1.0:
             raise ValueError("summary_temperature must be in (0, 1]")
 
     def budget_for(self, stage: Stage) -> int:
-        return getattr(self, _BUDGET_FIELD[stage])
+        return getattr(self, _FIELD[stage] + "_tokens")
 
     def temperature_for(self, stage: Stage) -> float:
-        return self.summary_temperature if stage is _SUMMARY else self.temperature
+        return self.summary_temperature if stage is SUMMARY else self.temperature
 
 
 
@@ -142,7 +137,7 @@ class Turn:
 
     @property
     def key(self) -> str:
-        return _STAGE_KEY[self.stage] if self.stage is not None else SINGLE_TURN
+        return _STAGE_KEY[self.stage]
 
     @property
     def truncated(self) -> bool:
@@ -159,7 +154,7 @@ class StageRewards:
     summary: float | None = None
 
     def for_stage(self, stage: Stage | None) -> float | None:
-        name = _REWARD_FIELD.get(stage)  # None for a one-shot turn, which has no stage
+        name = _FIELD.get(stage)  # None for a one-shot turn, which has no stage
         return getattr(self, name) if name is not None else None
 
 
@@ -181,7 +176,7 @@ class Transcript:
     episode_id: str = ""
     seed: int = 0
     backend_id: str = ""
-    stage: Stage | None = Stage.FAST_THINKING
+    stage: Stage | None = FAST
     pending_prompt: str | None = None
     turns: list[Turn] = field(default_factory=list)
     answers: dict[Stage | None, ExtractedAnswer | None] = field(default_factory=dict)
@@ -233,7 +228,7 @@ def begin_episode(item: QAItem, mode: Mode, budgets: StageBudgets | None = None,
     *metadata* (episode_id, seed, backend_id) is recorded as given.
     """
     return Transcript(mode=mode, item=item, budgets=budgets or StageBudgets(),
-                      pending_prompt=render_prompt(_FAST, item), **metadata)
+                      pending_prompt=render_prompt(FAST, item), **metadata)
 
 
 def _enter(state: Transcript, stage: Stage) -> None:
@@ -270,25 +265,25 @@ def advance(state: Transcript, result) -> Transcript:
         finish_reason=result.finish_reason,
     ))
 
-    if stage is _VERIFY:
+    if stage is VERIFY:
         state.verdict = extract_verdict(full_text)
     else:
         state.answers[stage] = extract_boxed(full_text)
 
-    training = state.mode is _TRAINING
-    if stage is _FAST:
-        _enter(state, _VERIFY)
-    elif stage is _VERIFY:
+    training = state.mode is TRAINING
+    if stage is FAST:
+        _enter(state, VERIFY)
+    elif stage is VERIFY:
         # inference trusts the verdict; training grades the fast answer instead
-        accepted = (answers_equal(state.answers.get(_FAST), state.item.answer)
-                    if training else state.verdict is _YES)
+        accepted = (answers_equal(state.answers.get(FAST), state.item.answer)
+                    if training else state.verdict is YES)
         if accepted:
-            _terminate(state, _FAST)
+            _terminate(state, FAST)
         else:
-            _enter(state, _SLOW)
-    elif (stage is _SLOW and training
-          and answers_equal(state.answers.get(_SLOW), state.item.answer)):
-        _enter(state, _SUMMARY)
+            _enter(state, SLOW)
+    elif (stage is SLOW and training
+          and answers_equal(state.answers.get(SLOW), state.item.answer)):
+        _enter(state, SUMMARY)
     else:  # slow thinking otherwise, or summarization: the slow answer is final
-        _terminate(state, _SLOW)
+        _terminate(state, SLOW)
     return state

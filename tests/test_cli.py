@@ -270,6 +270,16 @@ class TestEval:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.single_turn", "report.thinker"]
 
+    @pytest.mark.parametrize("modes", ["[thinker, thinker]", "[thinker-fast, thinker_fast]"])
+    def test_repeated_mode_is_config_error(self, modes, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "2", "--seed", "4", "--out", str(data))
+        code = run_cli("--set", f"eval.modes={modes}", "eval", "--dataset", str(data),
+                       "--k", "1", "--out", str(tmp_path / "report"))
+        assert code == 3
+        assert "eval.modes entries must be distinct" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
     @pytest.mark.parametrize("command", ["eval", "rollout"])
     def test_empty_dataset_is_data_error(self, command, tmp_path, capsys, monkeypatch):
         data = tmp_path / "empty.jsonl"
@@ -361,6 +371,14 @@ class TestSimulate:
     def test_bad_sweep_spec_is_config_error(self, spec, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # a run that wrongly goes ahead writes here
         assert run_cli("simulate", "--episodes", "10", "--sweep", spec) == 3
+
+    def test_sweep_value_limit(self):
+        assert len(cli._parse_sweep(f"fast_tokens=1:{cli.MAX_SWEEP_VALUES}:1")[1]) \
+            == cli.MAX_SWEEP_VALUES
+        for spec in (f"fast_tokens=0:{cli.MAX_SWEEP_VALUES}:1", "p_fast=0:1:1e-6",
+                     "p_fast=-1e308:1e308:1"):  # the last one's range overflows to inf
+            with pytest.raises(cli.ConfigError, match="more than 10000 values"):
+                cli._parse_sweep(spec)
 
 
 class TestArgumentChecks:

@@ -143,6 +143,13 @@ class TestRunBatch:
         for t in batch.ok:
             assert t.rewards.verify in (0.0, 0.5)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_per_prompt_below_one_rejected(self, samples):
+        backend = MockBackend({})
+        with pytest.raises(ValueError, match="samples_per_prompt"):
+            run_batch(backend, make_items(2), Mode.TRAINING, samples_per_prompt=samples)
+        assert backend.calls == []
+
     def test_same_seed_same_stats(self):
         items = make_items(3)
         backend = ScriptedPolicyBackend(PolicyParams(p_fast=0.5, t_p=0.7, t_n=0.7, p_slow=0.5))

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from thinker.backend import PolicyParams
+from thinker.dataset import Dataset
 from thinker.grading import extract_boxed
 from thinker.rewards import reward_fast
 from thinker.sim import (
@@ -158,6 +159,10 @@ class TestMonteCarlo:
     def test_validates_n(self):
         with pytest.raises(ValueError):
             monte_carlo(PolicyParams(), 0, seed=0)
+
+    def test_empty_dataset_rejected(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            monte_carlo(PolicyParams(), 10, seed=0, dataset=Dataset(items=()))
 
     def test_estimate_invariants(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
+import ast
 import itertools
+import tokenize
+from pathlib import Path
 
 import pytest
 
+import thinker
 from thinker.backend import GenerationResult
 from thinker.dataset import QAItem
 from thinker.errors import EpisodeError
@@ -281,3 +285,57 @@ class TestStageTables:
             assert rewards.for_stage(stage) == getattr(rewards, reward_field)
             assert budgets.temperature_for(stage) == (0.3 if stage is Stage.SUMMARIZATION else 0.9)
         assert rewards.for_stage(None) is None
+
+
+_ENUM_MEMBERS = {enum.__name__: set(enum.__members__) for enum in (Stage, Mode, Verdict)}
+_SOURCES = sorted(Path(thinker.__file__).parent.glob("*.py"))
+
+
+def _member_lookups(node):
+    """Line and text of each ``Enum.MEMBER`` attribute under *node*."""
+    return {(n.lineno, f"{n.value.id}.{n.attr}") for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+            and n.attr in _ENUM_MEMBERS.get(n.value.id, ())}
+
+
+class TestMemberBindings:
+    """Stage and Mode members are bound once as globals in task.py, Verdict's
+    in grading.py, and every other module imports those names: on CPython
+    3.10 and 3.11 a Stage.X lookup runs the enum's __getattr__ hook."""
+
+    def test_no_function_body_names_a_member(self):
+        found = set()
+        for path in _SOURCES:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    body = node.body
+                elif isinstance(node, ast.Lambda):
+                    body = [node.body]
+                else:
+                    continue
+                for part in body:
+                    found |= {(path.name, *lookup) for lookup in _member_lookups(part)}
+        assert sorted(found) == []
+
+    def test_only_the_defining_modules_bind_members(self):
+        found = []
+        for path in _SOURCES:
+            if path.name in ("task.py", "grading.py"):
+                continue
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+                if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+                    continue
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                unpacks_enum = (isinstance(stmt.value, ast.Name) and stmt.value.id in _ENUM_MEMBERS
+                                and isinstance(targets[0], (ast.Tuple, ast.List)))
+                if unpacks_enum or _member_lookups(stmt.value):
+                    found.append(f"{path.name}:{stmt.lineno}")
+        assert found == []
+
+    def test_the_reason_is_given_once(self):
+        comments = []
+        for path in _SOURCES:
+            with path.open("rb") as fh:
+                comments += [(path.name, tok.start[0]) for tok in tokenize.tokenize(fh.readline)
+                             if tok.type == tokenize.COMMENT and "__getattr__" in tok.string]
+        assert [name for name, _ in comments] == ["task.py"]
