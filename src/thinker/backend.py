@@ -160,8 +160,9 @@ def _filler(lead_words: tuple[str, ...], pad: int) -> str:
     A policy asks for a few fillers only: one per stage and tail length,
     and the tail's length changes only with whitespace in an answer. So
     FILLER_CACHE_SIZE (32) entries hold every live filler of a run. An
-    entry takes under 7 bytes per filler word (35 kB for a 5,500-token slow
-    response), so the memo holds at most 32 x the longest stage response.
+    entry takes under 7 bytes per filler word (35 kB for 5,500 words) and
+    _padded asks for at most the stage budget's words, so the memo holds at
+    most 32 x the largest stage budget.
     """
     cycles, rest = divmod(pad, len(lead_words))
     return " ".join([" ".join(lead_words)] * cycles + list(lead_words[:rest]))
@@ -174,7 +175,7 @@ def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str,
     words hold no whitespace, so the count is known without splitting the
     text, and the filler before the tail is built once per length."""
     tail_len = len(tail.split())
-    pad = max(total_tokens - tail_len, 0)
+    pad = min(max(total_tokens - tail_len, 0), max_tokens)
     text = _filler(lead_words, pad) + " " + tail if pad else tail
     if pad + tail_len > max_tokens:
         return GenerationResult(*truncate_to_budget(text, max_tokens))
@@ -350,10 +351,9 @@ class HttpBackend(Backend):
     name = "http"
     waits_on_server = True
 
-    def __init__(self, settings: BackendConfig | None = None, tokenizer=count_tokens):
+    def __init__(self, settings: BackendConfig | None = None):
         import http.client  # loaded on first use: runs without a server never pay for it
         self.settings = settings or BackendConfig(kind="http")
-        self.tokenizer = tokenizer
         url = urlsplit(self.settings.base_url)
         target = url.path.rstrip("/") + "/chat/completions" + (f"?{url.query}" if url.query else "")
         # percent-encode what a request line cannot carry (spaces, controls, non-ASCII)
@@ -460,8 +460,8 @@ class HttpBackend(Backend):
             raise BackendError("completion content is not a string")
         usage = body.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
-        if not isinstance(tokens, int) or tokens < 0:
-            tokens = self.tokenizer(text)
+        if type(tokens) is not int or tokens < 0:  # a JSON true or false is a bool
+            tokens = count_tokens(text)
         finish = choice.get("finish_reason")
         if not isinstance(finish, str) or not finish:
             finish = FINISH_STOP  # the server gave none; other values are kept as sent

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .backend import PolicyParams
+from .backend import BACKEND_KINDS, PolicyParams
 from .config import (
     EngineConfig,
     build_backend,
@@ -24,8 +24,9 @@ from .config import (
 )
 from .dataset import Dataset, QAItem, load_dataset, sample_batch, write_dataset
 from .errors import BackendError, ConfigError, DatasetError, ThinkerError
-from .evaluation import evaluate
+from .evaluation import EVAL_MODES, evaluate
 from .grading import answers_equal, extract_boxed
+from .rewards import TrailingAccuracy
 from .rollout import RolloutBatch, Trajectory, run_batch, run_episode
 from .sim import (
     SyntheticTaskConfig,
@@ -115,26 +116,10 @@ def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str) -
 # ---------------------------------------------------------------------------
 # argument parsing
 
-# Shorthand flags (by argparse dest) and the config keys they stand for. The
-# values argparse typed apply after every --set, so a flag wins over both the
-# file and --set, and config_hash and --print-config cover it.
-_FLAG_KEYS = {
-    "p_fast": "backend.policy.p_fast",
-    "t_p": "backend.policy.t_p",
-    "t_n": "backend.policy.t_n",
-    "p_slow": "backend.policy.p_slow",
-    "backend": "backend.kind",
-    "batch_size": "rollout.batch_size",
-    "samples_per_prompt": "rollout.samples_per_prompt",
-    "parallelism": "rollout.parallelism",
-    "k": "eval.k",
-    "eval_modes": "eval.modes",
-}
-
-
+# A shorthand flag's dest is its dotted config key. The value argparse typed applies after
+# every --set, so the flag wins over the file and --set, and config_hash covers it.
 def _flag_values(args) -> dict[str, object]:
-    return {key: getattr(args, dest) for dest, key in _FLAG_KEYS.items()
-            if getattr(args, dest, None) is not None}
+    return {key: value for key, value in vars(args).items() if "." in key and value is not None}
 
 
 def _positive_int(text: str) -> int:
@@ -148,10 +133,14 @@ def _positive_int(text: str) -> int:
 
 
 def _add_policy_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p-fast", type=float, help="chance the fast stage answers correctly")
-    sub.add_argument("--t-p", type=float, help="P(boxed Yes | fast answer correct)")
-    sub.add_argument("--t-n", type=float, help="P(boxed No | fast answer wrong)")
-    sub.add_argument("--p-slow", type=float, help="chance the slow stage answers correctly")
+    sub.add_argument("--p-fast", type=float, dest="backend.policy.p_fast", metavar="P_FAST",
+                     help="chance the fast stage answers correctly")
+    sub.add_argument("--t-p", type=float, dest="backend.policy.t_p", metavar="T_P",
+                     help="P(boxed Yes | fast answer correct)")
+    sub.add_argument("--t-n", type=float, dest="backend.policy.t_n", metavar="T_N",
+                     help="P(boxed No | fast answer wrong)")
+    sub.add_argument("--p-slow", type=float, dest="backend.policy.p_slow", metavar="P_SLOW",
+                     help="chance the slow stage answers correctly")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,16 +155,18 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the effective config and its hash, then exit")
 
     commands = parser.add_subparsers(dest="command")
-    parallelism_help = ("most requests in flight to an http backend (rollout.parallelism); "
-                        "in-process backends run episodes inline")
+    parallelism = dict(type=_positive_int, dest="rollout.parallelism", metavar="PARALLELISM",
+                       help="most requests in flight to an http backend (%(dest)s); "
+                            "in-process backends run episodes inline")
 
     grade = commands.add_parser("grade", help="grade JSONL {response, answer} pairs from stdin")
     grade.add_argument("--fields", default="response,answer",
                        help="comma-separated input field names (default response,answer)")
 
     episode = commands.add_parser("episode", help="run one episode and print the transcript")
-    episode.add_argument("--mode", choices=["training", "inference"], default="inference")
-    episode.add_argument("--backend", choices=["scripted", "http"], help="override backend.kind")
+    episode.add_argument("--mode", choices=[m.value for m in Mode], default="inference")
+    episode.add_argument("--backend", choices=BACKEND_KINDS, dest="backend.kind",
+                         help="override %(dest)s")
     episode.add_argument("--question", help="ad-hoc question text")
     episode.add_argument("--answer", help="ad-hoc ground-truth answer")
     episode.add_argument("--dataset", help="dataset JSONL to pick the item from")
@@ -187,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     rollout = commands.add_parser("rollout", help="run a batch and write transcripts + returns")
     rollout.add_argument("--dataset", required=True)
-    rollout.add_argument("--mode", choices=["training", "inference"], default="training")
-    rollout.add_argument("--batch-size", type=_positive_int,
-                         help="prompts per batch (rollout.batch_size)")
-    rollout.add_argument("--samples-per-prompt", type=_positive_int,
-                         help="samples per prompt (rollout.samples_per_prompt)")
-    rollout.add_argument("--parallelism", type=_positive_int, help=parallelism_help)
+    rollout.add_argument("--mode", choices=[m.value for m in Mode], default="training")
+    rollout.add_argument("--batch-size", type=_positive_int, metavar="BATCH_SIZE",
+                         dest="rollout.batch_size", help="prompts per batch (%(dest)s)")
+    rollout.add_argument("--samples-per-prompt", type=_positive_int, metavar="SAMPLES_PER_PROMPT",
+                         dest="rollout.samples_per_prompt", help="samples per prompt (%(dest)s)")
+    rollout.add_argument("--parallelism", **parallelism)
     rollout.add_argument("--seed", type=int, default=0)
     rollout.add_argument("--out", default="transcripts.jsonl")
     _add_policy_flags(rollout)
@@ -200,11 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     ev = commands.add_parser("eval", help="benchmark pass@1 accuracy over k samples")
     ev.add_argument("--dataset", required=True)
     # nargs=1 stores a list of the one mode, the type of eval.modes
-    ev.add_argument("--mode", nargs=1, dest="eval_modes",
-                    choices=["thinker", "thinker-fast", "single-turn"],
-                    help="run only this mode (eval.modes; default: every mode listed there)")
-    ev.add_argument("--k", type=_positive_int, help="samples per question (eval.k)")
-    ev.add_argument("--parallelism", type=_positive_int, help=parallelism_help)
+    ev.add_argument("--mode", nargs=1, dest="eval.modes",
+                    choices=[m.replace("_", "-") for m in EVAL_MODES],
+                    help="run only this mode (%(dest)s; default: every mode listed there)")
+    ev.add_argument("--k", type=_positive_int, dest="eval.k", metavar="K",
+                    help="samples per question (%(dest)s)")
+    ev.add_argument("--parallelism", **parallelism)
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--out", default="eval_report.json")
     _add_policy_flags(ev)
@@ -218,11 +210,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_policy_flags(sim)
 
     gen = commands.add_parser("gen-data", help="generate a synthetic arithmetic dataset")
-    gen.add_argument("--n", type=_positive_int, default=100)
+    gen.add_argument("--n", type=_positive_int, default=SyntheticTaskConfig.n_items)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--min-operands", type=int, default=3)
-    gen.add_argument("--max-operands", type=int, default=6)
-    gen.add_argument("--magnitude", type=int, default=9)
+    gen.add_argument("--min-operands", type=int, default=SyntheticTaskConfig.min_operands)
+    gen.add_argument("--max-operands", type=int, default=SyntheticTaskConfig.max_operands)
+    gen.add_argument("--magnitude", type=int, default=SyntheticTaskConfig.magnitude)
     gen.add_argument("--out", required=True)
 
     return parser
@@ -307,7 +299,7 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
     transcript = run_episode(
         backend, item, Mode(args.mode),
         budgets=cfg.budgets, seed=args.seed, reward_cfg=cfg.rewards,
-        trailing=0.5,
+        trailing=TrailingAccuracy(),
     )
     record = transcript_record(transcript, config_hash(cfg))
     print(dump_record(record) if args.json else _render_transcript(record))

@@ -78,7 +78,7 @@ def extract_boxed(text: str) -> ExtractedAnswer | None:
     Braces nest; an unbalanced final box falls back to the previous balanced
     one. Returns None when no balanced box exists. Total on arbitrary input.
     """
-    start = len(text)
+    start = end = len(text)
     # last box first; \boxed cannot overlap itself, so no search skips a box
     while (start := text.rfind(_BOXED, 0, start)) >= 0:
         i = start + len(_BOXED)
@@ -89,7 +89,7 @@ def extract_boxed(text: str) -> ExtractedAnswer | None:
         depth = 1
         i += 1
         content_start = i
-        while i < len(text):
+        while i < end:
             ch = text[i]
             if ch == "{":
                 depth += 1
@@ -98,7 +98,9 @@ def extract_boxed(text: str) -> ExtractedAnswer | None:
                 if depth == 0:
                     return ExtractedAnswer.from_raw(text[content_start:i])
             i += 1
-        # ran off the end without closing: try an earlier box
+        # ran off the end without closing: try an earlier box, scanning it only up
+        # to this box's "{", since a box still open there never closes
+        end = content_start - 1
     return None
 
 

@@ -106,11 +106,11 @@ def reward_summary(summary_answer: ExtractedAnswer | str | None,
     of the summary under the fast-thinking prompt; 0 when shorter than the
     minimum length.
 
-    logprob_sum is the sum of token log-probabilities and must be <= 0; with
+    logprob_sum is the sum of token log-probabilities, finite and <= 0; with
     cfg.logprob_per_token_mean it is averaged over tokens before scaling.
     """
-    if logprob_sum > 0:
-        raise ValueError("logprob_sum must be <= 0 (sum of log-probabilities)")
+    if not -math.inf < logprob_sum <= 0:  # NaN fails too
+        raise ValueError("logprob_sum must be finite and <= 0 (sum of log-probabilities)")
     if response_tokens < cfg.min_summary_tokens:
         return 0.0
     match = 1.0 if answers_equal(summary_answer, slow_answer) else 0.0

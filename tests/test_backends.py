@@ -196,6 +196,20 @@ class TestPadded:
             result = _padded(lead, total, tail, budget)
             assert (result.text, result.token_count, result.finish_reason) == expected
 
+    def test_filler_never_longer_than_budget(self, monkeypatch):
+        pads = []
+
+        def spy(lead_words, pad):
+            pads.append(pad)
+            return _filler(lead_words, pad)
+
+        monkeypatch.setattr("thinker.backend._filler", spy)
+        tail = "The final answer is \\boxed{7}."
+        result = _padded(_FILLER, 10**5, tail, 50)
+        assert pads and max(pads) <= 50
+        assert (result.text, result.token_count, result.finish_reason) == \
+            _padded_by_join(_FILLER, 10**5, tail, 50)
+
     def test_filler_miss_then_hit(self):
         _filler.cache_clear()
         first = _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET)
@@ -460,6 +474,16 @@ class TestHttpBackend:
         with StubServer(lambda payload, i: body) as stub:
             backend = HttpBackend(self.settings(stub.base_url))
             assert backend.generate(request()).token_count == 3
+
+    @pytest.mark.parametrize("completion_tokens", [True, False, -1, 2.5])
+    def test_unfit_completion_tokens_fall_back_to_word_count(self, completion_tokens):
+        body = {"choices": [{"message": {"role": "assistant", "content": "a b c"},
+                             "finish_reason": "stop"}],
+                "usage": {"completion_tokens": completion_tokens}}
+        with StubServer(lambda payload, i: body) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            tokens = backend.generate(request()).token_count
+        assert type(tokens) is int and tokens == 3
 
     def test_length_finish_reason_kept(self):
         body = {"choices": [{"message": {"role": "assistant", "content": "a b"},

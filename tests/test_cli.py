@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 
 from thinker import cli
 from thinker.cli import main
+from thinker.config import EngineConfig, config_to_dict
 from thinker.dataset import load_dataset
 
 from conftest import fixture_map
@@ -343,6 +345,44 @@ class TestFlagsSetConfigKeys:
         assert self.written(tmp_path, data, "--config", str(config), *command) == expected
         cfg_hash = re.search(rb'"config_hash": "([0-9a-f]{16})"', expected).group(1).decode()
         assert printed.endswith(f"# config_hash={cfg_hash}\n")
+
+
+def _config_leaves(tree: dict, prefix: str = "") -> set[str]:
+    leaves = set()
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            leaves |= _config_leaves(value, f"{prefix}{key}.")
+        else:
+            leaves.add(prefix + key)
+    return leaves
+
+
+_POLICY_FLAGS = {"--p-fast": "backend.policy.p_fast", "--t-p": "backend.policy.t_p",
+                 "--t-n": "backend.policy.t_n", "--p-slow": "backend.policy.p_slow"}
+# (subcommand, shorthand flag) -> the config key it stands for
+_SHORTHANDS = {
+    **{(command, flag): key for command in ("episode", "rollout", "eval", "simulate")
+       for flag, key in _POLICY_FLAGS.items()},
+    ("episode", "--backend"): "backend.kind",
+    ("rollout", "--batch-size"): "rollout.batch_size",
+    ("rollout", "--samples-per-prompt"): "rollout.samples_per_prompt",
+    ("rollout", "--parallelism"): "rollout.parallelism",
+    ("eval", "--parallelism"): "rollout.parallelism",
+    ("eval", "--k"): "eval.k",
+    ("eval", "--mode"): "eval.modes",
+}
+
+
+def test_shorthand_flags_store_to_config_keys():
+    """Each shorthand flag's dest is its dotted config key, and only theirs
+    are dotted, so the parser is the one place that pairs a flag with a key."""
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dotted = {(command, action.option_strings[0]): action.dest
+              for command, sub in commands.choices.items() for action in sub._actions
+              if "." in action.dest}
+    assert dotted == _SHORTHANDS
+    assert set(dotted.values()) <= _config_leaves(config_to_dict(EngineConfig()))
 
 
 class TestSimulate:

@@ -46,12 +46,38 @@ def _extract_boxed_finditer(text):
     return None
 
 
+class _CountingStr(str):
+    """A str that counts the indexing reads made on it (one per character
+    extract_boxed looks at, one per slice)."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return str.__getitem__(self, key)
+
+
 class TestExtractBoxed:
     @given(st.lists(st.sampled_from(["\\boxed", "\\boxed ", "{", "}", "7", "x", " ", "\\box", "ed"]),
                     max_size=30).map("".join))
     @settings(max_examples=1000)
     def test_matches_finditer_reference(self, text):
         assert extract_boxed(text) == _extract_boxed_finditer(text)
+
+    @given(st.lists(st.sampled_from(["\\boxed{", "\\boxed {", "\\boxed", "{", "}", "7", " "]),
+                    max_size=60).map("".join))
+    @settings(max_examples=1000)
+    def test_unclosed_boxes_match_reference(self, text):
+        # _extract_boxed_finditer scans each unclosed box to the end of the text
+        assert extract_boxed(text) == _extract_boxed_finditer(text)
+
+    @pytest.mark.parametrize("prefix, expected", [("", None), ("\\boxed{5} ", "5")])
+    def test_unclosed_boxes_are_read_in_linear_work(self, prefix, expected):
+        text = _CountingStr(prefix + "\\boxed{" * 300)
+        got = extract_boxed(text)
+        assert (got.raw if got else None) == expected
+        # scanning every unclosed box to the end would read about 300 x 2,100 / 2 characters
+        assert text.reads <= 2 * len(text)
 
     def test_plain_box(self):
         got = extract_boxed("The perimeter of the pool is \\boxed{18 - 4\\sqrt{3}} meters.")

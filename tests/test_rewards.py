@@ -90,6 +90,11 @@ class TestSummaryReward:
         with pytest.raises(ValueError):
             reward_summary("7", "7", 1.0, 400, self.CFG)
 
+    @pytest.mark.parametrize("logprob", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_logprob_rejected(self, logprob):
+        with pytest.raises(ValueError):
+            reward_summary("7", "7", logprob, 400, self.CFG)
+
     def test_per_token_mean_variant(self):
         cfg = RewardConfig(logprob_per_token_mean=True)
         assert reward_summary("7", "7", -200.0, 400, cfg) == pytest.approx(1.0 - 1e-3 * 0.5)
