@@ -229,6 +229,8 @@ def _cmd_grade(args, cfg: EngineConfig) -> int:
         raise ConfigError("--fields must name exactly two fields")
     response_field, answer_field = fields
     for line_no, line in enumerate(sys.stdin, start=1):
+        if line_no == 1:
+            line = line.removeprefix("\ufeff")  # a leading byte-order mark, as --dataset skips
         if not line.strip():
             continue
         try:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -42,13 +43,11 @@ class EvalConfig:
     single_turn_tokens: int = SINGLE_TURN_TOKENS
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vocab", tuple(self.vocab))
+        object.__setattr__(self, "vocab", ReflectionVocab(terms=self.vocab).terms)  # checks each term
         # one spelling per mode, so thinker-fast and thinker_fast hash alike
         object.__setattr__(self, "modes", tuple(m.replace("-", "_") for m in self.modes))
         if self.k < 1:
             raise ValueError("eval.k must be >= 1")
-        if not self.vocab:
-            raise ValueError("eval.vocab must be nonempty")
         if not self.modes:
             raise ValueError("eval.modes must be nonempty")
         if len(set(self.modes)) < len(self.modes):
@@ -70,6 +69,11 @@ class EngineConfig:
     backend: BackendConfig = field(default_factory=BackendConfig)
     rollout: RolloutConfig = field(default_factory=RolloutConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
+
+
+# A decimal number with an exponent, which YAML 1.1 reads as text when it
+# lacks the point or the exponent's sign that YAML asks for (1e-4, 1.5e3).
+_EXPONENT_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+")
 
 
 def _coerce_scalar(hint, value, path: str):
@@ -96,6 +100,8 @@ def _coerce_scalar(hint, value, path: str):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return value
     if hint is float:
+        if isinstance(value, str) and _EXPONENT_FLOAT.fullmatch(value):
+            value = float(value)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         return float(value)
@@ -155,15 +161,6 @@ def parse_override(text: str) -> tuple[str, object]:
         value = yaml.safe_load(raw)
     except yaml.YAMLError as exc:
         raise ConfigError(f"override {text!r}: unparseable value ({exc})") from exc
-    if isinstance(value, str):
-        # YAML 1.1 misses bare scientific notation like 1e-4
-        try:
-            value = int(value)
-        except ValueError:
-            try:
-                value = float(value)
-            except ValueError:
-                pass
     return key, value
 
 

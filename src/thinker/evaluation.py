@@ -23,7 +23,7 @@ from .rewards import RewardConfig
 from .rollout import run_all, run_episode, stage_request, token_means
 # advance is unused here, but the benchmark's tracer patches evaluation.advance
 from .task import (INFERENCE, SINGLE_TURN, StageBudgets, Transcript, Turn, advance, begin_episode,
-                   render_single_turn_prompt)
+                   render_prompt)
 
 logger = logging.getLogger("thinker.eval")
 
@@ -36,7 +36,7 @@ SINGLE_TURN_TOKENS = 8000  # the one-shot baseline's token budget
 @dataclass(frozen=True)
 class ReflectionVocab:
     """Self-reflection marker words counted in responses (whole word,
-    case-insensitive)."""
+    case-insensitive), each beginning and ending with a word character."""
 
     terms: tuple[str, ...] = ("wait", "however", "alternatively")
 
@@ -44,6 +44,9 @@ class ReflectionVocab:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise ValueError("reflection vocabulary must be nonempty")
+        for term in self.terms:
+            if not re.fullmatch(r"\w(?:.*\w)?", term, re.DOTALL):
+                raise ValueError(f"reflection term {term!r} must begin and end with a word character")
 
     def pattern(self) -> re.Pattern:
         alternation = "|".join(re.escape(t) for t in self.terms)
@@ -111,14 +114,16 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
     if mode == THINKER:
         return run_episode(backend, item, INFERENCE, budgets,
                            seed=episode_seed, reward_cfg=reward_cfg)
+    # the metadata run_episode records for a thinker sample
+    metadata = dict(episode_id=f"{item.id}@{episode_seed}", seed=episode_seed, backend_id=backend.name)
     if mode == THINKER_FAST:
-        transcript = begin_episode(item, INFERENCE, budgets)
+        transcript = begin_episode(item, INFERENCE, budgets, **metadata)
         # the full episode's first request, so both modes share the fast seed
         request = stage_request(transcript, episode_seed)
     else:  # one turn outside the stages: nothing to route
-        transcript = Transcript(INFERENCE, item, budgets, stage=None)
+        transcript = Transcript(INFERENCE, item, budgets, stage=None, **metadata)
         request = GenerationRequest(
-            messages=({"role": "user", "content": render_single_turn_prompt(item)},),
+            messages=({"role": "user", "content": render_prompt(None, item)},),
             max_tokens=single_turn_tokens,
             temperature=budgets.temperature,
             seed=derive_seed(episode_seed, SINGLE_TURN),

@@ -78,23 +78,18 @@ def load_template(name: str) -> str:
     return resources.files("thinker.templates").joinpath(name).read_text(encoding="utf-8")
 
 
-def stage_template(stage: Stage) -> str:
+def stage_template(stage: Stage | None) -> str:
     return load_template(f"{_STAGE_KEY[stage]}.txt")
 
 
-def render_prompt(stage: Stage, item: QAItem) -> str:
-    """Instantiate the stage template for one question.
+def render_prompt(stage: Stage | None, item: QAItem) -> str:
+    """Instantiate the stage template for one question; stage None gives the
+    one-shot baseline's (fast thinking's without its length limit).
 
     Substitution is a literal replace so questions containing braces
     survive intact. Verification has no placeholder and renders verbatim.
     """
     return stage_template(stage).replace("{question}", item.question)
-
-
-def render_single_turn_prompt(item: QAItem) -> str:
-    """Baseline one-shot prompt: the fast-thinking template without the
-    length-limit sentence."""
-    return load_template("single_turn.txt").replace("{question}", item.question)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,10 @@ class TestEpisode:
         assert code == 3
         assert "config error" in capsys.readouterr().err
 
+    def test_bad_vocab_term_is_config_error(self, capsys):
+        assert run_cli("--set", 'eval.vocab=[wait, ""]', "--print-config") == 3
+        assert "must begin and end with a word character" in capsys.readouterr().err
+
     def test_dataset_with_byte_order_mark(self, tmp_path, capsys):
         data = tmp_path / "bom.jsonl"
         data.write_bytes(b'\xef\xbb\xbf{"question": "Compute 1 + 1.", "answer": "2"}\n')
@@ -170,6 +174,12 @@ class TestGrade:
         first, second = json.loads(out_lines[0]), json.loads(out_lines[1])
         assert first == {"canonical": "1/2", "correct": True, "extracted": "1/2"}
         assert second["correct"] is False and second["extracted"] is None
+
+    def test_byte_order_mark_skipped(self, capsys, monkeypatch):
+        record = json.dumps({"response": "so \\boxed{2}", "answer": "2"})
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + record + "\n"))
+        assert run_cli("grade") == 0
+        assert json.loads(capsys.readouterr().out)["correct"] is True
 
     def test_malformed_stdin_is_data_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not json\n"))

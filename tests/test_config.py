@@ -15,6 +15,15 @@ from thinker.config import (
 from thinker.errors import ConfigError
 
 
+def _config_file(tmp_path, key: str, text: str) -> str:
+    """A config file setting the dotted *key* to the YAML *text*."""
+    for part in reversed(key.split(".")):
+        text = f"{{{part}: {text}}}"
+    path = tmp_path / "engine.yaml"
+    path.write_text(text + "\n")
+    return str(path)
+
+
 class TestDefaults:
     def test_generation_settings(self):
         cfg = EngineConfig()
@@ -157,9 +166,45 @@ class TestLoadAndOverride:
             load_config(None, None, {"eval.kk": 2})
 
     def test_override_parses_scalars(self):
-        assert parse_override("rewards.logprob_coef=1e-4") == ("rewards.logprob_coef", 1e-4)
+        assert load_config(None, ["rewards.logprob_coef=1e-4"]).rewards.logprob_coef == 1e-4
         assert parse_override("rewards.logprob_per_token_mean=true") == (
             "rewards.logprob_per_token_mean", True)
+
+    def test_override_returns_what_yaml_read(self):
+        assert parse_override("rewards.logprob_coef=1e-4") == ("rewards.logprob_coef", "1e-4")
+        assert parse_override('backend.model="123"') == ("backend.model", "123")
+
+    def test_quoted_number_stays_text(self):
+        assert load_config(None, ['backend.model="123"']).backend.model == "123"
+        assert load_config(None, ["backend.model='007'"]).backend.model == "007"
+
+    # YAML 1.1 reads each as text; a float field takes it as a number, by any route
+    @pytest.mark.parametrize("key, text, number", [
+        ("rewards.logprob_coef", "1e-4", 1e-4),
+        ("backend.policy.logprob_per_token", "-2E+3", -2000.0),
+        ("rewards.logprob_coef", ".5e-3", 5e-4),
+        ("rewards.logprob_coef", "1.5e3", 1500.0),
+    ])
+    def test_exponent_float_same_by_every_route(self, tmp_path, key, text, number):
+        routes = [load_config(_config_file(tmp_path, key, text)), load_config(None, [f"{key}={text}"]),
+                  load_config(None, None, {key: text})]
+        assert routes == [load_config(None, None, {key: number})] * 3
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("eval.k", "1e3", "eval.k: expected an integer, got '1e3'"),
+        ("budgets.fast_tokens", '"a lot"', "budgets.fast_tokens: expected an integer, got 'a lot'"),
+        ("budgets.temperature", '"0.5"', "budgets.temperature: expected a number, got '0.5'"),
+        ("backend.model", "123", "backend.model: expected a string, got 123"),
+        ("rewards.logprob_coef", "1e-4x", "rewards.logprob_coef: expected a number, got '1e-4x'"),
+        ("eval.vocab", '[wait, ""]', "reflection term '' must begin and end with a word character"),
+        ("eval.vocab", '["  "]', "reflection term '  ' must begin and end"),
+        ("eval.vocab", '["wait,"]', "reflection term 'wait,' must begin and end"),
+        ("eval.vocab", '["<think>"]', "reflection term '<think>' must begin and end"),
+    ])
+    def test_wrong_text_rejected_by_every_route(self, tmp_path, key, text, message):
+        for path, overrides in ((_config_file(tmp_path, key, text), None), (None, [f"{key}={text}"])):
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                load_config(path, overrides)
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError):

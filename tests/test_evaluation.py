@@ -57,6 +57,16 @@ class TestReflections:
         with pytest.raises(ValueError):
             ReflectionVocab(terms=())
 
+    # "" counted every word boundary, "  " double spaces, "wait," only before a
+    # word character, and "<think>" nothing
+    @pytest.mark.parametrize("term", ["", "  ", "wait,", "<think>", "-hmm"])
+    def test_term_without_word_ends_rejected(self, term):
+        with pytest.raises(ValueError, match="must begin and end with a word character"):
+            ReflectionVocab(terms=("wait", term))
+
+    def test_single_character_term_allowed(self):
+        assert count_reflections("so x is x", ReflectionVocab(terms=("x",))) == 2
+
 
 class TestStandardError:
     def test_zero_variance(self):
@@ -233,6 +243,15 @@ class TestSampleRecord:
         record = transcript_record(t, "cfg")
         assert record["stages"][0]["reward"] is None
         assert "reward=-" in _render_transcript(record)
+
+    @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
+    def test_each_mode_records_sample_metadata(self, mode):
+        backend = ScriptedPolicyBackend(PolicyParams())
+        item = make_dataset(1).items[0]
+        record = transcript_record(
+            _sample(backend, item, 12345, mode, StageBudgets(), RewardConfig(), 8000), "cfg")
+        assert (record["episode_id"], record["seed"], record["backend"]) == (
+            f"{item.id}@12345", 12345, backend.name)
 
     @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
     def test_backend_failure_marks_failed(self, mode):

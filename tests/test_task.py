@@ -19,7 +19,6 @@ from thinker.task import (
     advance,
     begin_episode,
     render_prompt,
-    render_single_turn_prompt,
     stage_template,
 )
 
@@ -72,7 +71,7 @@ class TestTemplates:
         assert "Simplify {x} + {y}." in prompt
 
     def test_single_turn_prompt_drops_length_limit(self, item):
-        prompt = render_single_turn_prompt(item)
+        prompt = render_prompt(None, item)
         assert "Limit your response" not in prompt
         assert "This is the problem: Compute 3 + 4." in prompt
         assert prompt.startswith("Answer the below question with concise steps")
