@@ -30,7 +30,6 @@ from .rollout import (
     run_episode,
 )
 from .task import (
-    EpisodeState,
     Mode,
     Stage,
     StageBudgets,

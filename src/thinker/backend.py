@@ -105,6 +105,9 @@ class Backend:
         prompt; <= 0. Raises LogprobUnsupportedError when unavailable."""
         raise LogprobUnsupportedError(f"{self.name} backend cannot score completions")
 
+    def close(self) -> None:
+        """Release what the backend keeps open between requests; nothing here."""
+
 
 @dataclass(frozen=True)
 class PolicyParams:

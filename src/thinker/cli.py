@@ -9,17 +9,18 @@ Carlo), gen-data (synthetic dataset). Exit codes: 0 ok, 2 usage, 3 config,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
+from contextlib import closing
 
 from .backend import BACKEND_KINDS, PolicyParams
 from .config import (
     EngineConfig,
     build_backend,
     config_hash,
-    config_to_dict,
     load_config,
 )
 from .dataset import Dataset, QAItem, load_dataset, sample_batch, write_dataset
@@ -297,12 +298,12 @@ def _render_transcript(record: dict) -> str:
 
 def _cmd_episode(args, cfg: EngineConfig) -> int:
     item = _pick_item(args)
-    backend = build_backend(cfg)
-    transcript = run_episode(
-        backend, item, Mode(args.mode),
-        budgets=cfg.budgets, seed=args.seed, reward_cfg=cfg.rewards,
-        trailing=TrailingAccuracy(),
-    )
+    with closing(build_backend(cfg)) as backend:
+        transcript = run_episode(
+            backend, item, Mode(args.mode),
+            budgets=cfg.budgets, seed=args.seed, reward_cfg=cfg.rewards,
+            trailing=TrailingAccuracy(),
+        )
     record = transcript_record(transcript, config_hash(cfg))
     print(dump_record(record) if args.json else _render_transcript(record))
     return EXIT_BACKEND if transcript.failed else EXIT_OK
@@ -310,12 +311,12 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
 
 def _cmd_rollout(args, cfg: EngineConfig) -> int:
     items = sample_batch(_load_nonempty(args.dataset), cfg.rollout.batch_size, args.seed)
-    backend = build_backend(cfg)
-    batch = run_batch(
-        backend, items, Mode(args.mode),
-        seed=args.seed, samples_per_prompt=cfg.rollout.samples_per_prompt,
-        budgets=cfg.budgets, reward_cfg=cfg.rewards, parallelism=cfg.rollout.parallelism,
-    )
+    with closing(build_backend(cfg)) as backend:
+        batch = run_batch(
+            backend, items, Mode(args.mode),
+            seed=args.seed, samples_per_prompt=cfg.rollout.samples_per_prompt,
+            budgets=cfg.budgets, reward_cfg=cfg.rewards, parallelism=cfg.rollout.parallelism,
+        )
     write_transcripts(args.out, batch.transcripts, config_hash(cfg))
     print(_batch_summary(batch, args.out))
     return EXIT_OK
@@ -335,30 +336,30 @@ def _batch_summary(batch: RolloutBatch, out_path: str) -> str:
 
 def _cmd_eval(args, cfg: EngineConfig) -> int:
     dataset = _load_nonempty(args.dataset)
-    backend = build_backend(cfg)
-    for mode in cfg.eval.modes:
-        report = evaluate(
-            backend, dataset, mode,
-            k=cfg.eval.k,
-            budgets=cfg.budgets,
-            seed=args.seed,
-            reward_cfg=cfg.rewards,
-            vocab=cfg.eval.reflection_vocab(),
-            parallelism=cfg.rollout.parallelism,
-            single_turn_tokens=cfg.eval.single_turn_tokens,
-        )
-        payload = report.to_dict()
-        payload["config_hash"] = config_hash(cfg)
-        payload["seed"] = args.seed
-        out = args.out
-        if len(cfg.eval.modes) > 1:
-            stem, suffix = os.path.splitext(args.out)  # the file name's suffix only
-            out = f"{stem}.{mode}{suffix}"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, ensure_ascii=False, indent=2)
-            fh.write("\n")
-        print(report.render_table())
-        print(f"report written to {out}")
+    with closing(build_backend(cfg)) as backend:
+        for mode in cfg.eval.modes:
+            report = evaluate(
+                backend, dataset, mode,
+                k=cfg.eval.k,
+                budgets=cfg.budgets,
+                seed=args.seed,
+                reward_cfg=cfg.rewards,
+                vocab=cfg.eval.reflection_vocab(),
+                parallelism=cfg.rollout.parallelism,
+                single_turn_tokens=cfg.eval.single_turn_tokens,
+            )
+            payload = report.to_dict()
+            payload["config_hash"] = config_hash(cfg)
+            payload["seed"] = args.seed
+            out = args.out
+            if len(cfg.eval.modes) > 1:
+                stem, suffix = os.path.splitext(args.out)  # the file name's suffix only
+                out = f"{stem}.{mode}{suffix}"
+            with open(out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, ensure_ascii=False, indent=2)
+                fh.write("\n")
+            print(report.render_table())
+            print(f"report written to {out}")
     return EXIT_OK
 
 
@@ -438,7 +439,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.overrides, _flag_values(args))
     if args.print_config:
         import yaml
-        print(yaml.safe_dump(config_to_dict(cfg), sort_keys=False).rstrip())
+        print(yaml.safe_dump(dataclasses.asdict(cfg), sort_keys=False).rstrip())
         print(f"# config_hash={config_hash(cfg)}")
         return EXIT_OK
     if not args.command:

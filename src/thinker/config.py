@@ -190,12 +190,8 @@ def load_config(path: str | None = None, overrides: list[str] | None = None,
     return config_from_dict(tree)
 
 
-def config_to_dict(cfg: EngineConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def config_hash(cfg: EngineConfig) -> str:
-    canonical = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 

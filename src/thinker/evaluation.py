@@ -39,6 +39,7 @@ class ReflectionVocab:
     case-insensitive), each beginning and ending with a word character."""
 
     terms: tuple[str, ...] = ("wait", "however", "alternatively")
+    pattern: re.Pattern = field(init=False, repr=False, compare=False)  # compiled from terms
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -47,18 +48,16 @@ class ReflectionVocab:
         for term in self.terms:
             if not re.fullmatch(r"\w(?:.*\w)?", term, re.DOTALL):
                 raise ValueError(f"reflection term {term!r} must begin and end with a word character")
-
-    def pattern(self) -> re.Pattern:
         alternation = "|".join(re.escape(t) for t in self.terms)
-        return re.compile(rf"\b(?:{alternation})\b", re.IGNORECASE)
+        object.__setattr__(self, "pattern", re.compile(rf"\b(?:{alternation})\b", re.IGNORECASE))
 
 
-def count_reflections(text: str, vocab: ReflectionVocab | None = None) -> int:
+_DEFAULT_VOCAB = ReflectionVocab()  # frozen, so every call without a vocabulary shares it
+
+
+def count_reflections(text: str, vocab: ReflectionVocab = _DEFAULT_VOCAB) -> int:
     """Whole-word, case-insensitive occurrences of any reflection term."""
-    vocab = vocab or ReflectionVocab()
-    if not text:
-        return 0
-    return len(vocab.pattern().findall(text))
+    return len(vocab.pattern.findall(text))
 
 
 def standard_error(per_question_means: list[float]) -> float:
@@ -152,7 +151,7 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
 def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
              budgets: StageBudgets | None = None, seed: int = 0, *,
              reward_cfg: RewardConfig | None = None,
-             vocab: ReflectionVocab | None = None,
+             vocab: ReflectionVocab = _DEFAULT_VOCAB,
              parallelism: int = 1,
              single_turn_tokens: int = SINGLE_TURN_TOKENS) -> BenchmarkReport:
     """Measure pass@1 accuracy over k samples per question.
@@ -167,8 +166,6 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     budgets = budgets or StageBudgets()
-    reward_cfg = reward_cfg or RewardConfig()
-    vocab = vocab or ReflectionVocab()
 
     specs = [(item, derive_seed(seed, item.id, j)) for item in dataset for j in range(k)]
     samples = run_all(backend, lambda spec: _sample(

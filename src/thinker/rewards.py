@@ -73,14 +73,13 @@ class TrailingAccuracy:
             raise ValueError("trailing accuracy must be in [0, 1]")
 
 
-def reward_fast(fast_answer: ExtractedAnswer | str | None, truth: str) -> float:
-    """1 when the fast answer matches the ground truth, else 0 (absent -> 0)."""
-    return 1.0 if answers_equal(fast_answer, truth) else 0.0
+def reward_fast(answer: ExtractedAnswer | str | None, truth: str) -> float:
+    """1 when the answer matches the ground truth, else 0 (absent -> 0).
+    Scores both answer stages: reward_slow is this function."""
+    return 1.0 if answers_equal(answer, truth) else 0.0
 
 
-def reward_slow(slow_answer: ExtractedAnswer | str | None, truth: str) -> float:
-    """1 when the slow answer matches the ground truth, else 0 (absent -> 0)."""
-    return 1.0 if answers_equal(slow_answer, truth) else 0.0
+reward_slow = reward_fast
 
 
 def reward_verify(fast_correct: bool, verdict: Verdict, tracker: TrailingAccuracy | float) -> float:

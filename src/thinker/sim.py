@@ -141,7 +141,6 @@ def monte_carlo(params: PolicyParams, n_episodes: int, seed: int,
     """
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
-    budgets = budgets or StageBudgets()
     if dataset is None:
         dataset = gen_synthetic(SyntheticTaskConfig(
             n_items=min(n_episodes, 128), seed=derive_seed(seed, "synthetic-items")))

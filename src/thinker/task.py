@@ -78,10 +78,6 @@ def load_template(name: str) -> str:
     return resources.files("thinker.templates").joinpath(name).read_text(encoding="utf-8")
 
 
-def stage_template(stage: Stage | None) -> str:
-    return load_template(f"{_STAGE_KEY[stage]}.txt")
-
-
 def render_prompt(stage: Stage | None, item: QAItem) -> str:
     """Instantiate the stage template for one question; stage None gives the
     one-shot baseline's (fast thinking's without its length limit).
@@ -89,7 +85,7 @@ def render_prompt(stage: Stage | None, item: QAItem) -> str:
     Substitution is a literal replace so questions containing braces
     survive intact. Verification has no placeholder and renders verbatim.
     """
-    return stage_template(stage).replace("{question}", item.question)
+    return load_template(f"{_STAGE_KEY[stage]}.txt").replace("{question}", item.question)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,11 +13,14 @@ import pytest
 
 from thinker import cli
 from thinker.cli import main
-from thinker.config import EngineConfig, config_to_dict
+from thinker.backend import Backend
+from thinker.config import EngineConfig, build_backend
 from thinker.dataset import load_dataset
+from thinker.errors import ThinkerError
 
 from conftest import fixture_map
 from mock_backend import MockBackend
+from stub_server import StubServer
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -303,6 +307,36 @@ class TestEval:
         assert not report_path.exists()
 
 
+class TestBackendClosed:
+    """A command closes the backend it builds, on success and on a backend
+    error, so no keep-alive connection outlives the run."""
+
+    @pytest.mark.parametrize("argv, reply, status", [
+        (["eval", "--dataset", "{data}", "--k", "2", "--parallelism", "2", "--out", "{out}"],
+         "\\boxed{Yes}", 0),
+        (["rollout", "--dataset", "{data}", "--batch-size", "2", "--samples-per-prompt", "1",
+          "--out", "{out}"], 500, 4),
+        (["episode", "--question", "Compute 1 + 1.", "--answer", "2"], "\\boxed{2}", 0),
+    ])
+    def test_no_idle_connection_left(self, argv, reply, status, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "2", "--seed", "4", "--out", str(data))
+        built = []
+
+        def build(cfg):
+            built.append(build_backend(cfg))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_backend", build)
+        with StubServer(lambda payload, index: reply, keep_alive=True) as stub:
+            code = run_cli("--set", "backend.kind=http", "--set", f"backend.base_url={stub.base_url}",
+                           "--set", "backend.max_attempts=1",
+                           *[arg.format(data=data, out=tmp_path / "out") for arg in argv])
+            assert code == status
+            assert stub.requests
+            assert [list(backend._idle) for backend in built] == [[]]
+
+
 _EVAL = ("eval", "--dataset", "{data}", "--seed", "3")
 _ROLLOUT = ("rollout", "--dataset", "{data}", "--seed", "9")
 _ROLLOUT_FLAGS = ("--batch-size", "3", "--samples-per-prompt", "2", "--parallelism", "2")
@@ -392,7 +426,7 @@ def test_shorthand_flags_store_to_config_keys():
               for command, sub in commands.choices.items() for action in sub._actions
               if "." in action.dest}
     assert dotted == _SHORTHANDS
-    assert set(dotted.values()) <= _config_leaves(config_to_dict(EngineConfig()))
+    assert set(dotted.values()) <= _config_leaves(dataclasses.asdict(EngineConfig()))
 
 
 class TestSimulate:
@@ -482,6 +516,39 @@ class TestArgumentChecks:
         assert run_cli(*argv) == 2
         assert "positive integer" in capsys.readouterr().err
         assert not out.exists()
+
+
+class _UnclassifiedFailure(Backend):
+    def generate(self, request):
+        raise ThinkerError("no closer category")
+
+
+_ONE_EPISODE = ("rollout", "--dataset", "{data}", "--batch-size", "1", "--samples-per-prompt", "1")
+
+
+class TestErrorExits:
+    """main maps each failure to its exit status and the prefix of its message."""
+
+    @pytest.mark.parametrize("argv, backend, status, prefix", [
+        (["--set", "backend.kind=http", "--set", "backend.base_url=http://127.0.0.1:9/v1",
+          "--set", "backend.max_attempts=1", *_ONE_EPISODE, "--out", "{out}"], None, 4, "backend error: "),
+        ([*_ONE_EPISODE, "--out", "{missing}"], None, 5, "i/o error: "),
+        (["episode", "--question", "Compute 1 + 1.", "--answer", "2"], _UnclassifiedFailure(), 1,
+         "error: no closer category"),
+        (["grade", "--fields", "a,b,c"], None, 3, "config error: "),
+        (["episode", "--question", "Compute 1 + 1."], None, 3, "config error: "),
+        (["episode", "--dataset", "{data}", "--index", "99"], None, 3, "config error: "),
+        (["rollout", "--dataset", "{data}", "--batch-size", "abc"], None, 2, "usage: "),
+    ])
+    def test_exit_status_and_message(self, argv, backend, status, prefix, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "2", "--seed", "4", "--out", str(data))
+        capsys.readouterr()
+        if backend is not None:
+            monkeypatch.setattr(cli, "build_backend", lambda cfg: backend)
+        paths = dict(data=data, out=tmp_path / "t.jsonl", missing=tmp_path / "missing" / "t.jsonl")
+        assert run_cli(*[arg.format(**paths) for arg in argv]) == status
+        assert capsys.readouterr().err.startswith(prefix)
 
 
 class TestTopLevel:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -8,7 +9,6 @@ from thinker.config import (
     build_backend,
     config_from_dict,
     config_hash,
-    config_to_dict,
     load_config,
     parse_override,
 )
@@ -249,7 +249,7 @@ class TestHash:
 
     def test_roundtrips_through_dict(self):
         cfg = config_from_dict({"budgets": {"fast_tokens": 777}})
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+        assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 class TestBuildBackend:

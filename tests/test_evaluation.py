@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import threading
 
 import pytest
@@ -66,6 +67,15 @@ class TestReflections:
 
     def test_single_character_term_allowed(self):
         assert count_reflections("so x is x", ReflectionVocab(terms=("x",))) == 2
+
+    def test_pattern_compiled_once_per_vocabulary(self, monkeypatch):
+        vocab = ReflectionVocab(terms=("hmm",))
+        compile_, compiled = re.compile, []
+        with monkeypatch.context() as patch:  # restored before asserting: pytest compiles patterns too
+            patch.setattr(re, "compile", lambda *args: compiled.append(args) or compile_(*args))
+            counts = [count_reflections("Hmm, wait.", vocab), count_reflections("Hmm, wait.")]
+        assert compiled == []
+        assert counts == [1, 1]
 
 
 class TestStandardError:

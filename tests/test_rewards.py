@@ -33,6 +33,9 @@ class TestBinaryRewards:
         assert reward_slow("8", "7") == 0.0
         assert reward_slow(None, "7") == 0.0
 
+    def test_one_rule_for_both_answer_stages(self):
+        assert reward_slow is reward_fast
+
 
 class TestVerifyReward:
     def test_correct_yes(self):

@@ -11,7 +11,7 @@ from thinker.cli import write_transcripts
 from thinker.dataset import QAItem
 from thinker.errors import BackendError
 from thinker.grading import ExtractedAnswer
-from thinker.rewards import RewardConfig, TrailingConfig
+from thinker.rewards import RewardConfig, TrailingAccuracy, TrailingConfig, update_trailing
 from thinker.rollout import (
     Trajectory,
     compute_gae,
@@ -229,6 +229,31 @@ class TestRunBatch:
         for t in batch.ok:
             expected = (1 - p) if t.rewards.fast == 1.0 else p
             assert t.rewards.verify == pytest.approx(expected)
+
+    @pytest.mark.parametrize("trailing_cfg, n_items", [
+        (TrailingConfig(estimator="ema"), 4),
+        (TrailingConfig(estimator="batch_mean", min_batch_for_mean=8), 3),  # 6 episodes: the EMA fallback
+    ])
+    def test_tracker_carries_across_batches(self, trailing_cfg, n_items):
+        """A trainer passes each batch's trailing back in: p and count follow
+        a chain of update_trailing calls, and each batch's verification
+        rewards use that batch's post-barrier p."""
+        cfg = RewardConfig(trailing=trailing_cfg)
+        backend = ScriptedPolicyBackend(PolicyParams(p_fast=0.5, t_p=1.0, t_n=1.0))
+        tracker = expected = TrailingAccuracy()
+        series = []
+        for seed in range(3):
+            batch = run_batch(backend, make_items(n_items), Mode.TRAINING, seed=seed,
+                              samples_per_prompt=2, reward_cfg=cfg, tracker=tracker)
+            expected = update_trailing(expected, [t.rewards.fast for t in batch.ok], cfg)
+            assert batch.trailing == expected
+            p = batch.trailing.p
+            for t in batch.ok:
+                assert t.rewards.verify == ((1.0 - p) if t.rewards.fast == 1.0 else p)
+            tracker = batch.trailing
+            series.append(p)
+        assert expected.count == 3 * n_items * 2
+        assert len(set(series)) == 3  # p moves, so a reward that used a stale p would show
 
     def test_failed_episodes_excluded(self):
         items = make_items(3)

@@ -18,8 +18,8 @@ from thinker.task import (
     Turn,
     advance,
     begin_episode,
+    load_template,
     render_prompt,
-    stage_template,
 )
 
 
@@ -78,7 +78,7 @@ class TestTemplates:
 
     def test_templates_are_resources(self):
         for stage in Stage:
-            assert stage_template(stage)
+            assert load_template(f"{stage.key}.txt")
 
 
 class TestBudgets:
