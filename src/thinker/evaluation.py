@@ -18,12 +18,13 @@ from statistics import fmean, variance
 from .backend import Backend, GenerationRequest, derive_seed
 from .dataset import Dataset
 from .errors import BackendError
+# answers_equal, extract_boxed and advance are unused here, but the benchmark's
+# tracer (benchmarks/tracing.py) patches evaluation's binding of each
 from .grading import answers_equal, extract_boxed
 from .rewards import RewardConfig
-from .rollout import run_all, run_episode, stage_request, token_means
-# advance is unused here, but the benchmark's tracer patches evaluation.advance
-from .task import (INFERENCE, SINGLE_TURN, StageBudgets, Transcript, Turn, advance, begin_episode,
-                   render_prompt)
+from .rollout import record_failure, run_all, run_episode, stage_request, token_means
+from .task import (INFERENCE, SINGLE_TURN, StageBudgets, Transcript, advance, begin_episode,
+                   end_episode, record_turn)
 
 logger = logging.getLogger("thinker.eval")
 
@@ -120,9 +121,9 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
         # the full episode's first request, so both modes share the fast seed
         request = stage_request(transcript, episode_seed)
     else:  # one turn outside the stages: nothing to route
-        transcript = Transcript(INFERENCE, item, budgets, stage=None, **metadata)
+        transcript = begin_episode(item, INFERENCE, budgets, stage=None, **metadata)
         request = GenerationRequest(
-            messages=({"role": "user", "content": render_prompt(None, item)},),
+            messages=tuple(transcript.messages()),
             max_tokens=single_turn_tokens,
             temperature=budgets.temperature,
             seed=derive_seed(episode_seed, SINGLE_TURN),
@@ -133,18 +134,11 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
     try:
         result = backend.generate(request)
     except BackendError as exc:
-        transcript.failed = True
-        transcript.error = str(exc)
+        record_failure(transcript, exc)
         return transcript
-    # One turn, then terminal. The fast stage has no response seed, so this
-    # records what advance would, without rendering the verification prompt.
-    stage = request.stage
-    transcript.turns.append(Turn(stage, request.messages[0]["content"], result.text,
-                                 result.token_count, result.finish_reason))
-    transcript.answers[stage] = extract_boxed(result.text)
-    transcript.stage = transcript.pending_prompt = None
-    transcript.final_stage = stage
-    transcript.correct = answers_equal(transcript.final_answer, item.answer)
+    # one turn, then terminal, without rendering the verification prompt
+    record_turn(transcript, result)
+    end_episode(transcript, request.stage)
     return transcript
 
 

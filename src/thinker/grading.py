@@ -4,8 +4,10 @@ Responses carry their final answer inside the last balanced ``\\boxed{...}``
 of the text. Grading normalizes the boxed content to a canonical string,
 parses an exact rational value when the content is numeric, and compares
 answers by exact rational equality when possible, falling back to canonical
-string equality. No computer-algebra equivalence is attempted; `answers_equal`
-is the single extension point for stricter or looser checkers.
+string equality. The spelling rules are a named subset of the MATH
+``is_equiv`` and Minerva answer normalizers (Hendrycks et al. 2021,
+Lewkowycz et al. 2022); no computer-algebra equivalence is attempted, and
+`answers_equal` is the single extension point for stricter or looser checkers.
 """
 
 from __future__ import annotations
@@ -67,9 +69,16 @@ _BOXED = "\\boxed"
 _LEFT_RIGHT = re.compile(r"\\(?:left|right)(?![a-zA-Z])")
 _THIN_SPACE = re.compile(r"\\[,;!]")
 _WS_RUN = re.compile(r"\s+")
+_STYLED_FRAC = re.compile(r"\\[dt]frac(?![a-zA-Z])")  # \dfrac and \tfrac are \frac
+_TEXT = re.compile(r"\\text\s*\{([^{}]*)\}")  # \text{...} without nested braces
+_THOUSANDS = re.compile(r"[+-]?\d{1,3}(?:,\d{3})+(?:\.\d+)?")  # a whole number, grouped
+_COMMA_SPACE = re.compile(r", +")
 
 _DECIMAL = re.compile(r"[+-]?(?:\d+(?:\.\d+)?|\.\d+)")
 _RATIONAL = re.compile(r"([+-]?\d+)\s*/\s*([+-]?\d+)")
+# \frac{a}{b}, or \frac ab with one digit each, under an optional sign
+_FRAC_ARG = r"\s*(?:\{\s*([+-]?\d+)\s*\}|(\d))"
+_FRAC = re.compile(rf"([+-]?)\s*\\frac{_FRAC_ARG}{_FRAC_ARG}")
 
 
 def extract_boxed(text: str) -> ExtractedAnswer | None:
@@ -110,9 +119,15 @@ def _normalize_once(s: str) -> str:
         s = s[1:-1]
     s = _LEFT_RIGHT.sub("", s)
     s = _THIN_SPACE.sub("", s)
+    s = _STYLED_FRAC.sub(r"\\frac", s)
+    s = _TEXT.sub(r"\1", s)
     s = _WS_RUN.sub(" ", s).strip()
     if s.endswith("."):
         s = s[:-1]
+    if s[:1] in ("(", "[") and s[-1:] in (")", "]"):  # a tuple or an interval
+        s = _COMMA_SPACE.sub(",", s)
+    if _THOUSANDS.fullmatch(s):
+        s = s.replace(",", "")
     return s
 
 
@@ -120,9 +135,12 @@ def normalize(raw: str) -> str:
     """Canonicalize an answer string.
 
     One pass trims, strips one outer $...$ pair, deletes \\left/\\right and
-    thin-space macros, collapses whitespace runs, and strips one trailing
-    period. Passes repeat until a fixed point so the result is idempotent
-    ("$$x$$", "x.." and similar need more than one pass).
+    thin-space macros, spells \\dfrac and \\tfrac as \\frac, unwraps
+    \\text{...}, collapses whitespace runs, and strips one trailing period.
+    Inside a tuple or interval it drops the spaces after commas, and a whole
+    number grouped by threes ("12,345.5") loses its separators; "1,2"
+    keeps its comma. Passes repeat until a fixed point so the result is
+    idempotent ("$$x$$", "x.." and similar need more than one pass).
     """
     current = raw
     for _ in range(len(raw) + 1):
@@ -136,18 +154,23 @@ def normalize(raw: str) -> str:
 def parse_numeric(canonical: str) -> Fraction | None:
     """Exact rational value of a canonical answer, or None.
 
-    Accepts plain decimals ("0.5", "-3") and integer ratios ("1/2");
-    anything else, including a zero denominator, is non-numeric. So is a
-    number with more digits than the interpreter converts
+    Accepts plain decimals ("0.5", "-3"), integer ratios ("1/2") and
+    \\frac of signed integers ("-\\frac{3}{4}", "\\frac12"); anything
+    else, including a zero denominator, is non-numeric. So is a number with
+    more digits than the interpreter converts
     (``sys.get_int_max_str_digits()``, 4300 by default).
     """
     s = canonical.strip()
-    m = _RATIONAL.fullmatch(s)
     try:
-        if m:
+        if m := _RATIONAL.fullmatch(s):
             num, den = int(m.group(1)), int(m.group(2))
-            return Fraction(num, den) if den else None
-        return Fraction(s) if _DECIMAL.fullmatch(s) else None
+        elif m := _FRAC.fullmatch(s):
+            sign, num_braced, num_digit, den_braced, den_digit = m.groups()
+            num, den = int(num_braced or num_digit), int(den_braced or den_digit)
+            num = -num if sign == "-" else num
+        else:
+            return Fraction(s) if _DECIMAL.fullmatch(s) else None
+        return Fraction(num, den) if den else None
     except ValueError:  # more digits than int() converts
         return None
 

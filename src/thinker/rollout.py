@@ -31,6 +31,7 @@ from .rewards import (
     update_trailing,
 )
 from .task import FAST, SLOW, SUMMARY, Mode, StageBudgets, Transcript, advance, begin_episode
+# unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .grading import answers_equal
 
 _DEFAULT_REWARDS = RewardConfig()  # frozen, so every call without a config shares it
@@ -52,6 +53,12 @@ def stage_request(state: Transcript, episode_seed: int) -> GenerationRequest:
     )
 
 
+def record_failure(transcript: Transcript, exc: BackendError) -> None:
+    """Mark the episode failed by *exc*; no text is ever fabricated."""
+    transcript.failed = True
+    transcript.error = str(exc)
+
+
 def run_all(backend: Backend, fn, specs: list, parallelism: int) -> list:
     """fn over specs in order, on up to *parallelism* threads if the backend
     waits on a server; inline otherwise, as threads only add GIL hand-offs."""
@@ -68,8 +75,9 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
                 episode_id: str | None = None) -> Transcript:
     """Drive one episode to terminal and score it.
 
-    Backend failures mark the transcript failed instead of raising; no text
-    is ever fabricated. The verification reward is filled only when a
+    Backend failures mark the transcript failed (record_failure) instead of
+    raising; a failed episode keeps the reward of a fast turn that finished,
+    and gets no other. The verification reward is filled only when a
     trailing accuracy is supplied; batches defer it to their barrier.
     """
     reward_cfg = reward_cfg or _DEFAULT_REWARDS
@@ -79,13 +87,12 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
         while not transcript.terminal:
             advance(transcript, backend.generate(stage_request(transcript, seed)))
     except BackendError as exc:
-        transcript.failed = True
-        transcript.error = str(exc)
-        return transcript
-
+        record_failure(transcript, exc)
     answers = transcript.answers  # one key per executed answer stage
-    transcript.correct = answers_equal(transcript.final_answer, item.answer)
-    transcript.rewards.fast = reward_fast(answers.get(FAST), item.answer)
+    if FAST in answers:
+        transcript.rewards.fast = reward_fast(answers[FAST], item.answer)
+    if transcript.failed:
+        return transcript
     if SLOW in answers:
         transcript.rewards.slow = reward_slow(answers.get(SLOW), item.answer)
     if SUMMARY in answers:
@@ -180,7 +187,9 @@ def run_batch(backend: Backend, items: list[QAItem], mode: Mode, *,
     if not ok:
         raise BackendError(f"all {len(transcripts)} episodes in the batch failed")
 
-    fast_rewards = [t.rewards.fast for t in ok]
+    # every finished fast turn counts, failed episodes' too: slow thinking runs
+    # only after a wrong fast answer, so dropping its failures would inflate p
+    fast_rewards = [t.rewards.fast for t in transcripts if t.rewards.fast is not None]
     trailing = update_trailing(tracker or TrailingAccuracy(), fast_rewards, reward_cfg)
     for t in ok:
         if t.verdict is not None:

@@ -212,14 +212,15 @@ EpisodeState = Transcript
 
 
 def begin_episode(item: QAItem, mode: Mode, budgets: StageBudgets | None = None,
-                  **metadata) -> Transcript:
-    """Start an episode at fast thinking with its prompt rendered.
+                  stage: Stage | None = FAST, **metadata) -> Transcript:
+    """Start an episode at *stage* with its prompt rendered; stage None
+    begins the one-shot baseline, which is recorded but never advanced.
 
     The first prompt is mode-independent; mode only affects routing later.
     *metadata* (episode_id, seed, backend_id) is recorded as given.
     """
-    return Transcript(mode=mode, item=item, budgets=budgets or StageBudgets(),
-                      pending_prompt=render_prompt(FAST, item), **metadata)
+    return Transcript(mode=mode, item=item, budgets=budgets or StageBudgets(), stage=stage,
+                      pending_prompt=render_prompt(stage, item), **metadata)
 
 
 def _enter(state: Transcript, stage: Stage) -> None:
@@ -227,40 +228,38 @@ def _enter(state: Transcript, stage: Stage) -> None:
     state.pending_prompt = render_prompt(stage, state.item)
 
 
-def _terminate(state: Transcript, final_stage: Stage) -> None:
+def end_episode(state: Transcript, final_stage: Stage | None) -> None:
+    """Make the episode terminal and grade *final_stage*'s answer."""
     state.stage = None
     state.pending_prompt = None
     state.final_stage = final_stage
+    state.correct = answers_equal(state.answers.get(final_stage), state.item.answer)
 
 
-def advance(state: Transcript, result) -> Transcript:
-    """Record the current stage's response and apply the routing table.
-
-    *result* is any object with ``text``, ``token_count``, and
-    ``finish_reason`` attributes (a backend GenerationResult). The response
-    is stored with any stage seed prepended, its answer or verdict extracted
-    (truncated responses included), and the episode either moves to the next
-    stage (pending prompt rendered) or terminates.
-    """
-    if state.terminal:
-        raise EpisodeError("cannot advance a terminal episode")
+def record_turn(state: Transcript, result) -> None:
+    """Record the current stage's turn from *result* (any object with
+    ``text``, ``token_count`` and ``finish_reason``, such as a backend
+    GenerationResult): the response with any stage seed prepended, and its
+    answer or verdict, truncated responses included. Nothing is routed."""
     stage = state.stage
     assert state.pending_prompt is not None
-
     full_text = RESPONSE_SEED.get(stage, "") + result.text
-    state.turns.append(Turn(
-        stage=stage,
-        prompt=state.pending_prompt,
-        response=full_text,
-        token_count=result.token_count,
-        finish_reason=result.finish_reason,
-    ))
-
+    state.turns.append(Turn(stage, state.pending_prompt, full_text,
+                            result.token_count, result.finish_reason))
     if stage is VERIFY:
         state.verdict = extract_verdict(full_text)
     else:
         state.answers[stage] = extract_boxed(full_text)
 
+
+def advance(state: Transcript, result) -> Transcript:
+    """Record the current stage's turn and apply the routing table: the
+    episode moves to the next stage (pending prompt rendered) or ends."""
+    if state.terminal:
+        raise EpisodeError("cannot advance a terminal episode")
+    record_turn(state, result)
+
+    stage = state.stage
     training = state.mode is TRAINING
     if stage is FAST:
         _enter(state, VERIFY)
@@ -269,12 +268,12 @@ def advance(state: Transcript, result) -> Transcript:
         accepted = (answers_equal(state.answers.get(FAST), state.item.answer)
                     if training else state.verdict is YES)
         if accepted:
-            _terminate(state, FAST)
+            end_episode(state, FAST)
         else:
             _enter(state, SLOW)
     elif (stage is SLOW and training
           and answers_equal(state.answers.get(SLOW), state.item.answer)):
         _enter(state, SUMMARY)
     else:  # slow thinking otherwise, or summarization: the slow answer is final
-        _terminate(state, SLOW)
+        end_episode(state, SLOW)
     return state

@@ -307,6 +307,84 @@ class TestSampleRecord:
         assert report.mean_stage_tokens == {"single_turn": 2.0}
 
 
+class RefusingBackend(Backend):
+    """Raises BackendError on every request."""
+
+    name = "refusing"
+
+    def generate(self, request):
+        raise BackendError("refused")
+
+
+class TestOneTurnRecordPinned:
+    """Every field of a thinker-fast or single-turn sample's record, written
+    out in full, so the code that records these samples can move freely."""
+
+    ITEM = QAItem(id="e0", question="Compute 0 + 1.", answer="1")
+    PROMPT = {
+        THINKER_FAST: "Answer the below question with concise steps and output the final answer"
+                      " within \\boxed{}. Limit your response below 1000 words.\n"
+                      "This is the problem: Compute 0 + 1.",
+        SINGLE_TURN: "Answer the below question with concise steps and output the final answer"
+                     " within \\boxed{}.\nThis is the problem: Compute 0 + 1.",
+    }
+    STAGE_KEY = {THINKER_FAST: "fast_thinking", SINGLE_TURN: "single_turn"}
+    FINAL_STAGE = {THINKER_FAST: "fast_thinking", SINGLE_TURN: None}  # the one-shot turn has no stage
+    FILLER = "Working through the given quantities"
+
+    def expected(self, mode, seed, backend, **fields):
+        return {
+            "schema_version": 1,
+            "episode_id": f"e0@{seed}",
+            "mode": "inference",
+            "item_id": "e0",
+            "seed": seed,
+            "backend": backend,
+            "config_hash": "cfg",
+            "failed": False,
+            "error": None,
+            "stages": [],
+            "final_stage": self.FINAL_STAGE[mode],
+            "final_answer": None,
+            "correct": False,
+            "summary_logprob": None,
+            "logprob_available": True,
+            **fields,
+        }
+
+    def turn(self, mode, response, token_count, finish_reason, extracted):
+        return {"stage": self.STAGE_KEY[mode], "prompt": self.PROMPT[mode], "response": response,
+                "token_count": token_count, "finish_reason": finish_reason,
+                "extracted": extracted, "reward": None}
+
+    def record(self, backend, mode, seed, budgets=StageBudgets(), single_turn_tokens=8000):
+        return transcript_record(_sample(backend, self.ITEM, seed, mode, budgets, RewardConfig(),
+                                         single_turn_tokens), "cfg")
+
+    # seeds 8 and 5 draw a correct answer in thinker-fast and single-turn, 5 and 7 a wrong one
+    @pytest.mark.parametrize("mode,seed,answer", [
+        (THINKER_FAST, 8, "1"), (THINKER_FAST, 5, "2"), (SINGLE_TURN, 5, "1"), (SINGLE_TURN, 7, "2"),
+    ])
+    def test_finished_sample(self, mode, seed, answer):
+        backend = ScriptedPolicyBackend(PolicyParams(fast_tokens=12))
+        response = f"{self.FILLER} step by The final answer is \\boxed{{{answer}}}."
+        assert self.record(backend, mode, seed) == self.expected(
+            mode, seed, "scripted", stages=[self.turn(mode, response, 12, "stop", answer)],
+            final_answer=answer, correct=answer == "1")
+
+    @pytest.mark.parametrize("mode", [THINKER_FAST, SINGLE_TURN])
+    def test_truncated_sample(self, mode):
+        backend = ScriptedPolicyBackend(PolicyParams(fast_tokens=12))
+        record = self.record(backend, mode, 5, budgets=StageBudgets(fast_tokens=5), single_turn_tokens=5)
+        assert record == self.expected(mode, 5, "scripted",
+                                       stages=[self.turn(mode, self.FILLER, 5, "length", None)])
+
+    @pytest.mark.parametrize("mode", [THINKER_FAST, SINGLE_TURN])
+    def test_failed_sample(self, mode):
+        assert self.record(RefusingBackend(), mode, 5) == self.expected(
+            mode, 5, "refusing", failed=True, error="refused", final_stage=None, correct=None)
+
+
 class TestThinkerBeatsFastWhenVerifierAcceptsCorrect:
     @pytest.mark.parametrize("p_fast", [0.0, 0.3, 0.7, 1.0])
     @pytest.mark.parametrize("t_n", [0.0, 0.5, 1.0])

@@ -19,6 +19,13 @@ from thinker.grading import (
 )
 
 
+# answers built from the pieces the spelling rules rewrite
+LATEX = st.lists(st.sampled_from([
+    "\\frac", "\\dfrac", "\\tfrac", "\\text", "{", "}", "1", "2", "000", "-", ",", ", ",
+    "(", ")", "[", "]", " ", "$", ".", "\\left(", "\\right)", "x",
+]), max_size=14).map("".join)
+
+
 def _extract_boxed_finditer(text):
     """extract_boxed as it was before it scanned from the end: list every
     box start with re.finditer, then try them last first."""
@@ -126,7 +133,7 @@ class TestExtractBoxed:
 class TestNormalize:
     @pytest.mark.parametrize("raw,expected", [
         (" $18-4\\sqrt{3}$ ", "18-4\\sqrt{3}"),
-        ("\\left(3, 4\\right)", "(3, 4)"),
+        ("\\left(3, 4\\right)", "(3,4)"),
         ("0.50.", "0.50"),
         ("  spaced   out  ", "spaced out"),
         ("\\,x\\;y\\!", "xy"),
@@ -136,11 +143,25 @@ class TestNormalize:
         ("answer..", "answer"),
         ("", ""),
         ("$", "$"),
+        ("\\tfrac{1}{3}", "\\frac{1}{3}"),
+        ("\\dfrac{\\pi}{2}", "\\frac{\\pi}{2}"),
+        ("\\dfracx", "\\dfracx"),  # not the \dfrac macro
+        ("\\text{ cm}", "cm"),
+        ("5\\text{ cm}", "5 cm"),
+        ("\\textbf{5}", "\\textbf{5}"),
+        ("12,345,678.5", "12345678.5"),
+        ("-1,000", "-1000"),
+        ("1,0000", "1,0000"),
+        ("10,00", "10,00"),
+        ("1, 000", "1, 000"),
+        ("[0, \\infty)", "[0,\\infty)"),
+        ("\\left( 1 , 2 \\right]", "( 1 ,2 ]"),
+        ("1, 2", "1, 2"),  # a bare list is not a tuple
     ])
     def test_pipeline(self, raw, expected):
         assert normalize(raw) == expected
 
-    @given(st.text(max_size=60))
+    @given(st.one_of(st.text(max_size=60), LATEX))
     @settings(max_examples=300)
     def test_idempotent(self, s):
         once = normalize(s)
@@ -161,12 +182,19 @@ class TestParseNumeric:
         ("10", Fraction(10)),
         (".25", Fraction(1, 4)),
         ("1 / 2", Fraction(1, 2)),
+        ("\\frac{1}{2}", Fraction(1, 2)),
+        ("\\frac 12", Fraction(1, 2)),
+        ("\\frac1{12}", Fraction(1, 12)),
+        ("\\frac{-3}{4}", Fraction(-3, 4)),
+        ("-\\frac{3}{-4}", Fraction(3, 4)),
+        ("+\\frac{10}{4}", Fraction(5, 2)),
     ])
     def test_numeric(self, text, expected):
         assert parse_numeric(text) == expected
 
     @pytest.mark.parametrize("text", [
         "1/0", "x", "2+3", "1.2.3", "", "sqrt(2)", "1e3",
+        "\\frac{1}{0}", "\\frac123", "\\frac{1.5}{2}", "\\frac{x}{2}", "\\frac{1}{2}3", "\\frac{1}",
         # more digits than int() converts (4300 by default)
         pytest.param("7" * 5000, id="5000-digit-integer"),
         pytest.param("-" + "7" * 5000, id="5000-digit-negative"),
@@ -213,7 +241,7 @@ class TestAnswersEqual:
     def test_reflexive(self, s):
         assert answers_equal(s, s)
 
-    @given(st.text(max_size=40), st.text(max_size=40))
+    @given(st.one_of(st.text(max_size=40), LATEX), st.one_of(st.text(max_size=40), LATEX))
     @settings(max_examples=200)
     def test_symmetric(self, a, b):
         assert answers_equal(a, b) == answers_equal(b, a)
@@ -225,6 +253,31 @@ class TestAnswersEqual:
         a, b = f"{n1}/{d1}", f"{n2}/{d2}"
         if normalize(a) == normalize(b):
             assert answers_equal(a, b)
+
+
+class TestNamedRules:
+    """The spelling rules of the MATH (is_equiv) and Minerva answer
+    normalizers that grading adopts, and the pairs they must leave apart."""
+
+    @pytest.mark.parametrize("a,b", [
+        ("\\dfrac{1}{2}", "\\frac{1}{2}"),
+        ("\\frac{1}{2}", "1/2"),
+        ("\\frac12", "\\frac{1}{2}"),
+        ("-\\frac{3}{4}", "-3/4"),
+        ("1,000", "1000"),
+        ("\\text{5}", "5"),
+        ("(1, 2)", "(1,2)"),
+    ])
+    def test_spellings_of_one_answer_grade_equal(self, a, b):
+        assert answers_equal(a, b) and answers_equal(b, a)
+
+    @pytest.mark.parametrize("a,b", [
+        ("6\\sqrt{3}-12", "18 - 4\\sqrt{3}"),
+        ("(1, 2)", "(2, 1)"),
+        ("1,2", "12"),
+    ])
+    def test_different_answers_stay_unequal(self, a, b):
+        assert not answers_equal(a, b) and not answers_equal(b, a)
 
 
 class TestParseMemo:
@@ -272,6 +325,10 @@ class TestExtractVerdict:
 
     def test_trailing_period_inside_box(self):
         assert extract_verdict("\\boxed{Yes.}") is Verdict.YES
+
+    def test_text_wrapped(self):
+        assert extract_verdict("\\boxed{\\text{Yes}}") is Verdict.YES
+        assert extract_verdict("$\\boxed{\\text{No}}$") is Verdict.NO
 
 
 def test_brace_soup_fuzz_never_raises():

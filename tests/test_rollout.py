@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker.backend import PolicyParams, ScriptedPolicyBackend, wrong_answer
+from thinker.backend import PolicyParams, ScriptedPolicyBackend, derive_seed, wrong_answer
 from thinker.cli import write_transcripts
 from thinker.dataset import QAItem
 from thinker.errors import BackendError
@@ -20,6 +20,7 @@ from thinker.rollout import (
     run_batch,
     run_episode,
 )
+from thinker.sim import SyntheticTaskConfig, gen_synthetic
 from thinker.task import Mode, Stage, Transcript, Turn
 
 from conftest import fixture_map
@@ -272,9 +273,41 @@ class TestRunBatch:
         with pytest.raises(BackendError, match="failed"):
             run_batch(backend, make_items(2), Mode.TRAINING, seed=0)
 
+    def test_slow_stage_failures_do_not_move_p(self):
+        """Slow thinking runs only after a wrong fast answer, so dropping its
+        failures from p would drop wrong-fast episodes and inflate p."""
+        items = list(gen_synthetic(SyntheticTaskConfig(n_items=64, seed=1)).items)
+        params = PolicyParams(p_fast=0.5)
+        clean = run_batch(ScriptedPolicyBackend(params), items, Mode.TRAINING,
+                          seed=1, samples_per_prompt=8)
+        faulty = run_batch(SlowStageFailingBackend(params), items, Mode.TRAINING,
+                           seed=1, samples_per_prompt=8)
+        assert clean.failures == 0 and faulty.failures > 100
+        assert faulty.trailing.p == clean.trailing.p
+        assert faulty.fast_accuracy == clean.fast_accuracy
+        for good, bad in zip(clean.transcripts, faulty.transcripts):
+            assert bad.rewards.fast == good.rewards.fast
+            if bad.failed:  # no verification reward and no returns
+                assert bad.rewards.verify is None
+                with pytest.raises(ValueError, match="failed"):
+                    Trajectory.from_transcript(bad)
+            else:
+                assert bad.rewards == good.rewards
+
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError):
             run_batch(MockBackend({}), [], Mode.TRAINING, seed=0)
+
+
+class SlowStageFailingBackend(ScriptedPolicyBackend):
+    """Fails about half of all slow-thinking requests. The draw comes from a
+    seed derived from the request's, never from the request seed itself,
+    which also decides whether the policy answers correctly."""
+
+    def generate(self, request):
+        if request.stage is Stage.SLOW_THINKING and derive_seed(request.seed, "fail") % 2 == 0:
+            raise BackendError("injected slow-stage failure")
+        return super().generate(request)
 
 
 class TestStageReturns:
