@@ -258,11 +258,9 @@ class ScriptedPolicyBackend(Backend):
         return answers_equal(fast, request.reference_answer)
 
     def _slow_answer(self, request: GenerationRequest) -> str | None:
-        for msg in reversed(request.messages):
-            if msg["role"] == "assistant" and "<think>" in msg["content"]:
-                boxed = extract_boxed(msg["content"])
-                return boxed.raw if boxed else None
-        return None
+        # the slow response is the assistant message just before the summary prompt
+        boxed = extract_boxed(request.messages[-2]["content"]) if len(request.messages) > 1 else None
+        return boxed.raw if boxed else None
 
     def generate(self, request: GenerationRequest) -> GenerationResult:
         if request.reference_answer is None:

@@ -18,12 +18,12 @@ from statistics import fmean, variance
 from .backend import Backend, GenerationRequest, derive_seed
 from .dataset import Dataset
 from .errors import BackendError
-# answers_equal, extract_boxed and advance are unused here, but the benchmark's
-# tracer (benchmarks/tracing.py) patches evaluation's binding of each
+# GenerationRequest, answers_equal, extract_boxed and advance are unused here, but
+# the benchmark's tracer (benchmarks/tracing.py) patches evaluation's binding of each
 from .grading import answers_equal, extract_boxed
 from .rewards import RewardConfig
 from .rollout import record_failure, run_all, run_episode, stage_request, token_means
-from .task import (INFERENCE, SINGLE_TURN, StageBudgets, Transcript, advance, begin_episode,
+from .task import (FAST, INFERENCE, SINGLE_TURN, StageBudgets, Transcript, advance, begin_episode,
                    end_episode, record_turn)
 
 logger = logging.getLogger("thinker.eval")
@@ -85,9 +85,15 @@ class BenchmarkReport:
     reflections_per_1000_tokens: float
     failures: int = 0
     excluded_questions: list[str] = field(default_factory=list)
+    # pass@1 over every question with failed samples counted wrong; set only
+    # when a sample failed, so a failure-free report keeps its bytes
+    accuracy_failures_as_wrong: float | None = None
 
     def to_dict(self) -> dict:
-        return {"schema_version": 1, **asdict(self)}
+        record = {"schema_version": 1, **asdict(self)}
+        if self.accuracy_failures_as_wrong is None:
+            del record["accuracy_failures_as_wrong"]
+        return record
 
     def render_table(self) -> str:
         lines = [
@@ -103,7 +109,8 @@ class BenchmarkReport:
             f"   per 1000 tokens: {self.reflections_per_1000_tokens:.2f}"
         )
         if self.failures:
-            lines.append(f"failed samples: {self.failures}")
+            lines.append(f"failed samples: {self.failures}"
+                         f"   pass@1 counting them wrong: {100 * self.accuracy_failures_as_wrong:.2f}%")
         if self.excluded_questions:
             lines.append(f"excluded questions: {', '.join(self.excluded_questions)}")
         return "\n".join(lines)
@@ -114,31 +121,18 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
     if mode == THINKER:
         return run_episode(backend, item, INFERENCE, budgets,
                            seed=episode_seed, reward_cfg=reward_cfg)
-    # the metadata run_episode records for a thinker sample
-    metadata = dict(episode_id=f"{item.id}@{episode_seed}", seed=episode_seed, backend_id=backend.name)
-    if mode == THINKER_FAST:
-        transcript = begin_episode(item, INFERENCE, budgets, **metadata)
-        # the full episode's first request, so both modes share the fast seed
-        request = stage_request(transcript, episode_seed)
-    else:  # one turn outside the stages: nothing to route
-        transcript = begin_episode(item, INFERENCE, budgets, stage=None, **metadata)
-        request = GenerationRequest(
-            messages=tuple(transcript.messages()),
-            max_tokens=single_turn_tokens,
-            temperature=budgets.temperature,
-            seed=derive_seed(episode_seed, SINGLE_TURN),
-            stage=None,
-            item_id=item.id,
-            reference_answer=item.answer,
-        )
+    # thinker-fast sends the full episode's first request, so both modes share
+    # the fast seed; single-turn sends one turn outside the stages
+    stage = FAST if mode == THINKER_FAST else None
+    transcript = begin_episode(item, INFERENCE, budgets, stage, seed=episode_seed, backend_id=backend.name)
     try:
-        result = backend.generate(request)
+        result = backend.generate(stage_request(transcript, episode_seed, single_turn_tokens))
     except BackendError as exc:
         record_failure(transcript, exc)
         return transcript
     # one turn, then terminal, without rendering the verification prompt
     record_turn(transcript, result)
-    end_episode(transcript, request.stage)
+    end_episode(transcript, stage)
     return transcript
 
 
@@ -151,7 +145,9 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     """Measure pass@1 accuracy over k samples per question.
 
     Questions whose samples all fail are excluded from accuracy (with a
-    warning); individual failures are counted and skipped.
+    warning); individual failures are counted and skipped, and token means
+    cover finished samples only. A report with failures also gives the
+    accuracy with each failure counted wrong.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown eval mode {mode!r}; expected one of {EVAL_MODES}")
@@ -159,7 +155,6 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         raise ValueError("k must be >= 1")
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
-    budgets = budgets or StageBudgets()
 
     specs = [(item, derive_seed(seed, item.id, j)) for item in dataset for j in range(k)]
     samples = run_all(backend, lambda spec: _sample(
@@ -182,6 +177,7 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     mean_stage_tokens, mean_total_tokens = token_means(usable)
     reflections = [sum(count_reflections(turn.response, vocab) for turn in t.turns) for t in usable]
     total_tokens = sum(t.total_tokens for t in usable)
+    failures = len(samples) - len(usable)
     return BenchmarkReport(
         mode=mode,
         k=k,
@@ -193,6 +189,9 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         mean_total_tokens=mean_total_tokens,
         mean_reflections=fmean(reflections),
         reflections_per_1000_tokens=(1000.0 * sum(reflections) / total_tokens) if total_tokens else 0.0,
-        failures=len(samples) - len(usable),
+        failures=failures,
         excluded_questions=excluded,
+        # every question has k samples, so this is the mean of per-question shares
+        accuracy_failures_as_wrong=(sum(1 for t in usable if t.correct) / len(samples)
+                                    if failures else None),
     )

@@ -30,23 +30,25 @@ from .rewards import (
     reward_verify,
     update_trailing,
 )
-from .task import FAST, SLOW, SUMMARY, Mode, StageBudgets, Transcript, advance, begin_episode
+from .task import FAST, SINGLE_TURN, SLOW, SUMMARY, Mode, StageBudgets, Transcript, advance, begin_episode
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .grading import answers_equal
 
 _DEFAULT_REWARDS = RewardConfig()  # frozen, so every call without a config shares it
 
 
-def stage_request(state: Transcript, episode_seed: int) -> GenerationRequest:
-    """The request for the episode's current stage: whole dialogue, the
-    stage's budget and temperature, and a seed derived from the stage."""
-    stage = state.stage
-    budgets = state.budgets
+def stage_request(state: Transcript, episode_seed: int,
+                  single_turn_tokens: int | None = None) -> GenerationRequest:
+    """The request for the episode's current turn: whole dialogue, the turn's
+    budget and temperature, and a seed derived from the turn's key; the
+    one-shot turn (stage None) has the budget *single_turn_tokens*."""
+    stage, budgets = state.stage, state.budgets
+    staged = stage is not None
     return GenerationRequest(
         messages=tuple(state.messages()),
-        max_tokens=budgets.budget_for(stage),
+        max_tokens=budgets.budget_for(stage) if staged else single_turn_tokens,
         temperature=budgets.temperature_for(stage),
-        seed=derive_seed(episode_seed, stage.key),
+        seed=derive_seed(episode_seed, stage.key if staged else SINGLE_TURN),
         stage=stage,
         item_id=state.item.id,
         reference_answer=state.item.answer,
@@ -81,8 +83,8 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
     trailing accuracy is supplied; batches defer it to their barrier.
     """
     reward_cfg = reward_cfg or _DEFAULT_REWARDS
-    transcript = begin_episode(item, mode, budgets, episode_id=episode_id or f"{item.id}@{seed}",
-                               seed=seed, backend_id=backend.name)
+    transcript = begin_episode(item, mode, budgets, seed=seed, backend_id=backend.name,
+                               episode_id=episode_id)
     try:
         while not transcript.terminal:
             advance(transcript, backend.generate(stage_request(transcript, seed)))

@@ -212,15 +212,17 @@ EpisodeState = Transcript
 
 
 def begin_episode(item: QAItem, mode: Mode, budgets: StageBudgets | None = None,
-                  stage: Stage | None = FAST, **metadata) -> Transcript:
+                  stage: Stage | None = FAST, *, seed: int = 0, backend_id: str = "",
+                  episode_id: str | None = None) -> Transcript:
     """Start an episode at *stage* with its prompt rendered; stage None
     begins the one-shot baseline, which is recorded but never advanced.
 
     The first prompt is mode-independent; mode only affects routing later.
-    *metadata* (episode_id, seed, backend_id) is recorded as given.
+    The episode is named *episode_id*, by default ``<item id>@<seed>``.
     """
     return Transcript(mode=mode, item=item, budgets=budgets or StageBudgets(), stage=stage,
-                      pending_prompt=render_prompt(stage, item), **metadata)
+                      pending_prompt=render_prompt(stage, item),
+                      episode_id=episode_id or f"{item.id}@{seed}", seed=seed, backend_id=backend_id)
 
 
 def _enter(state: Transcript, stage: Stage) -> None:

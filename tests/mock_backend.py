@@ -1,4 +1,5 @@
-"""Test doubles: a fixture-replay backend and thread-recording scripted policies."""
+"""Test doubles: a fixture-replay backend, thread-recording scripted policies
+and a scripted policy whose slow stage fails."""
 
 import threading
 
@@ -7,6 +8,7 @@ from thinker.backend import (
     GenerationRequest,
     GenerationResult,
     ScriptedPolicyBackend,
+    derive_seed,
     truncate_to_budget,
 )
 from thinker.errors import BackendError
@@ -71,3 +73,14 @@ class PooledScriptedBackend(RecordingScriptedBackend):
     episodes on the thread pool the HTTP backend uses."""
 
     waits_on_server = True
+
+
+class SlowStageFailingBackend(ScriptedPolicyBackend):
+    """Fails about half of all slow-thinking requests. The draw comes from a
+    seed derived from the request's, never from the request seed itself,
+    which also decides whether the policy answers correctly."""
+
+    def generate(self, request):
+        if request.stage is Stage.SLOW_THINKING and derive_seed(request.seed, "fail") % 2 == 0:
+            raise BackendError("injected slow-stage failure")
+        return super().generate(request)

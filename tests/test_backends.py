@@ -368,6 +368,22 @@ class TestScriptedPolicy:
         result = backend.generate(request(messages=messages_wrong, stage=Stage.VERIFICATION))
         assert extract_verdict(result.text) is Verdict.NO
 
+    def test_summary_reads_slow_answer_by_position(self):
+        # the slow response is the message just before the summary prompt,
+        # whether or not it carries the think marker
+        messages = (
+            {"role": "user", "content": "question"},
+            {"role": "assistant", "content": "fast \\boxed{9}"},
+            {"role": "user", "content": "verify it"},
+            {"role": "assistant", "content": "\\boxed{No}"},
+            {"role": "user", "content": "think again"},
+            {"role": "assistant", "content": "slow \\boxed{8}"},
+            {"role": "user", "content": "summarize"},
+        )
+        result = ScriptedPolicyBackend().generate(
+            request(messages=messages, max_tokens=BUDGET, stage=Stage.SUMMARIZATION, reference_answer="7"))
+        assert extract_boxed(result.text).raw == "8"
+
     def test_score_logprob_linear_in_tokens(self):
         backend = ScriptedPolicyBackend(PolicyParams(logprob_per_token=-0.25))
         assert backend.score_logprob(user_msg(), "four words right here") == pytest.approx(-1.0)

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import threading
+from dataclasses import asdict
 
 import pytest
 
@@ -10,6 +11,7 @@ from thinker.backend import (
     GenerationResult,
     PolicyParams,
     ScriptedPolicyBackend,
+    derive_seed,
 )
 from thinker import task
 from thinker.cli import _render_transcript, transcript_record, write_transcripts
@@ -27,10 +29,11 @@ from thinker.evaluation import (
 )
 from thinker.rewards import RewardConfig
 from thinker.rollout import Trajectory
+from thinker.sim import SyntheticTaskConfig, gen_synthetic
 from thinker.task import Stage, StageBudgets, Transcript
 
 from conftest import fixture_map
-from mock_backend import MockBackend, PooledScriptedBackend
+from mock_backend import MockBackend, PooledScriptedBackend, SlowStageFailingBackend
 
 
 class TestReflections:
@@ -195,7 +198,24 @@ class TestEvaluate:
         assert report.num_questions == 1
         assert report.excluded_questions == ["e1"]
         assert report.failures == 2
+        assert (report.overall_accuracy, report.accuracy_failures_as_wrong) == (1.0, 0.5)
         assert any("e1" in message for message in caplog.messages)
+
+    def test_failures_counted_wrong_beside_pass_at_1(self):
+        """Slow thinking runs only after a rejected fast answer, so leaving its
+        failures out raises pass@1; the second figure counts them wrong."""
+        dataset = gen_synthetic(SyntheticTaskConfig(n_items=64, seed=1))
+        params = PolicyParams(p_fast=0.5)
+        clean = evaluate(ScriptedPolicyBackend(params), dataset, THINKER, 8, seed=1)
+        faulty = evaluate(SlowStageFailingBackend(params), dataset, THINKER, 8, seed=1)
+        assert (faulty.failures, round(faulty.overall_accuracy, 4)) == (129, 0.6963)
+        assert faulty.accuracy_failures_as_wrong == 268 / 512
+        assert (clean.failures, round(clean.overall_accuracy, 4)) == (0, 0.6523)
+        assert faulty.accuracy_failures_as_wrong < clean.overall_accuracy < faulty.overall_accuracy
+        assert faulty.to_dict()["accuracy_failures_as_wrong"] == 268 / 512
+        assert "pass@1 counting them wrong: 52.34%" in faulty.render_table()
+        assert clean.accuracy_failures_as_wrong is None
+        assert "accuracy_failures_as_wrong" not in clean.to_dict()
 
     def test_all_failed_raises(self):
         backend = MockBackend({})
@@ -383,6 +403,42 @@ class TestOneTurnRecordPinned:
     def test_failed_sample(self, mode):
         assert self.record(RefusingBackend(), mode, 5) == self.expected(
             mode, 5, "refusing", failed=True, error="refused", final_stage=None, correct=None)
+
+
+class RequestKeepingBackend(ScriptedPolicyBackend):
+    """The scripted policy, keeping every request it is sent."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def generate(self, request):
+        self.requests.append(request)
+        return super().generate(request)
+
+
+class TestOneTurnRequestPinned:
+    """Every field of the request a thinker-fast or single-turn sample sends,
+    written out in full, so the code that builds it can move freely."""
+
+    BUDGETS = StageBudgets(fast_tokens=50, temperature=0.7, summary_temperature=0.3)
+
+    @pytest.mark.parametrize("mode,max_tokens,seed_key,stage", [
+        (THINKER_FAST, 50, "fast_thinking", Stage.FAST_THINKING),
+        (SINGLE_TURN, 77, "single_turn", None),
+    ])
+    def test_request(self, mode, max_tokens, seed_key, stage):
+        backend = RequestKeepingBackend()
+        _sample(backend, TestOneTurnRecordPinned.ITEM, 5, mode, self.BUDGETS, RewardConfig(), 77)
+        assert [asdict(r) for r in backend.requests] == [{
+            "messages": ({"role": "user", "content": TestOneTurnRecordPinned.PROMPT[mode]},),
+            "max_tokens": max_tokens,
+            "temperature": 0.7,
+            "seed": derive_seed(5, seed_key),
+            "stage": stage,
+            "item_id": "e0",
+            "reference_answer": "1",
+        }]
 
 
 class TestThinkerBeatsFastWhenVerifierAcceptsCorrect:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker.backend import PolicyParams, ScriptedPolicyBackend, derive_seed, wrong_answer
+from thinker.backend import PolicyParams, ScriptedPolicyBackend, wrong_answer
 from thinker.cli import write_transcripts
 from thinker.dataset import QAItem
 from thinker.errors import BackendError
@@ -21,10 +21,11 @@ from thinker.rollout import (
     run_episode,
 )
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
-from thinker.task import Mode, Stage, Transcript, Turn
+from thinker.task import Mode, Transcript, Turn
 
 from conftest import fixture_map
-from mock_backend import MockBackend, PooledScriptedBackend, RecordingScriptedBackend
+from mock_backend import (MockBackend, PooledScriptedBackend, RecordingScriptedBackend,
+                          SlowStageFailingBackend)
 
 
 def brute_force_gae(rewards, values, boundaries, gamma=1.0, lam=1.0):
@@ -297,17 +298,6 @@ class TestRunBatch:
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError):
             run_batch(MockBackend({}), [], Mode.TRAINING, seed=0)
-
-
-class SlowStageFailingBackend(ScriptedPolicyBackend):
-    """Fails about half of all slow-thinking requests. The draw comes from a
-    seed derived from the request's, never from the request seed itself,
-    which also decides whether the policy answers correctly."""
-
-    def generate(self, request):
-        if request.stage is Stage.SLOW_THINKING and derive_seed(request.seed, "fail") % 2 == 0:
-            raise BackendError("injected slow-stage failure")
-        return super().generate(request)
 
 
 class TestStageReturns:
