@@ -28,7 +28,8 @@ from .errors import BackendError, ConfigError, DatasetError, ThinkerError
 from .evaluation import EVAL_MODES, evaluate
 from .grading import answers_equal, extract_boxed
 from .rewards import TrailingAccuracy
-from .rollout import RolloutBatch, Trajectory, run_batch, run_episode
+from .rollout import (RolloutBatch, dump_record, render_transcript, run_batch, run_episode,
+                      transcript_record, write_transcripts)
 from .sim import (
     SyntheticTaskConfig,
     analytic_accuracy,
@@ -37,9 +38,7 @@ from .sim import (
     monte_carlo,
     sweep,
 )
-from .task import VERIFY, Mode, Transcript
-
-TRANSCRIPT_SCHEMA_VERSION = 1
+from .task import Mode
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -49,69 +48,6 @@ EXIT_IO = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 MAX_SWEEP_VALUES = 10_000  # each value is a whole monte_carlo run
-
-
-# ---------------------------------------------------------------------------
-# transcript persistence
-
-def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
-    """Flatten one transcript into the versioned JSONL record schema.
-
-    Adds the credit-assignment view (boundaries, stage_rewards) once every
-    executed stage has its reward. Deliberately excludes wall-clock metadata
-    so identical runs serialize byte-identically.
-    """
-    stages = []
-    for turn in transcript.turns:
-        if turn.stage is VERIFY:
-            extracted = transcript.verdict.value if transcript.verdict else None
-        else:
-            answer = transcript.answers.get(turn.stage)
-            extracted = answer.raw if answer is not None else None
-        stages.append({
-            "stage": turn.key,
-            "prompt": turn.prompt,
-            "response": turn.response,
-            "token_count": turn.token_count,
-            "finish_reason": turn.finish_reason,
-            "extracted": extracted,
-            "reward": transcript.rewards.for_stage(turn.stage),
-        })
-    record = {
-        "schema_version": TRANSCRIPT_SCHEMA_VERSION,
-        "episode_id": transcript.episode_id,
-        "mode": transcript.mode.value,
-        "item_id": transcript.item.id,
-        "seed": transcript.seed,
-        "backend": transcript.backend_id,
-        "config_hash": cfg_hash,
-        "failed": transcript.failed,
-        "error": transcript.error,
-        "stages": stages,
-        "final_stage": transcript.final_stage.key if transcript.final_stage else None,
-        "final_answer": transcript.final_answer.raw if transcript.final_answer else None,
-        "correct": transcript.correct,
-        "summary_logprob": transcript.summary_logprob,
-        "logprob_available": transcript.logprob_available,
-    }
-    try:
-        traj = Trajectory.from_transcript(transcript)
-    except ValueError:  # failed, or a reward not filled (eval samples, unbatched episodes)
-        return record
-    record["boundaries"] = list(traj.boundaries)
-    record["stage_rewards"] = list(traj.stage_rewards)
-    return record
-
-
-def dump_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, ensure_ascii=False)
-
-
-def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for transcript in transcripts:
-            fh.write(dump_record(transcript_record(transcript, cfg_hash)))
-            fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -273,29 +209,6 @@ def _pick_item(args) -> QAItem:
     return dataset.items[args.index]
 
 
-def _render_transcript(record: dict) -> str:
-    """The text view of one transcript record."""
-    lines = [
-        f"episode {record['episode_id']}  mode={record['mode']}  "
-        f"item={record['item_id']}  seed={record['seed']}  "
-        f"backend={record['backend']}  config={record['config_hash']}"
-    ]
-    for turn in record["stages"]:
-        reward = turn["reward"]
-        reward_str = f"{reward:.4f}" if reward is not None else "-"
-        lines.append(f"\n[{turn['stage']}] tokens={turn['token_count']} "
-                     f"finish={turn['finish_reason']} reward={reward_str}")
-        lines.append(f"  prompt   | {turn['prompt']}")
-        lines.append(f"  response | {turn['response']}")
-    if record["failed"]:
-        lines.append(f"\nFAILED: {record['error']}")
-    else:
-        answer = record["final_answer"] if record["final_answer"] is not None else "<no box>"
-        stage = record["final_stage"] or "-"  # a one-shot sample has no stage
-        lines.append(f"\nfinal: stage={stage} answer={answer!r} correct={record['correct']}")
-    return "\n".join(lines)
-
-
 def _cmd_episode(args, cfg: EngineConfig) -> int:
     item = _pick_item(args)
     with closing(build_backend(cfg)) as backend:
@@ -305,7 +218,7 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
             trailing=TrailingAccuracy(),
         )
     record = transcript_record(transcript, config_hash(cfg))
-    print(dump_record(record) if args.json else _render_transcript(record))
+    print(dump_record(record) if args.json else render_transcript(record))
     return EXIT_BACKEND if transcript.failed else EXIT_OK
 
 

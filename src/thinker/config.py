@@ -78,13 +78,10 @@ _EXPONENT_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+"
 
 def _coerce_scalar(hint, value, path: str):
     origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):
-        members = [a for a in typing.get_args(hint) if a is not type(None)]
+    if origin in (typing.Union, types.UnionType):  # X | None, where null stands for None
         if value is None:
-            if len(members) != len(typing.get_args(hint)):
-                return None
-            raise ConfigError(f"{path}: null is not allowed")
-        hint = members[0]
+            return None
+        hint = next(a for a in typing.get_args(hint) if a is not type(None))
         origin = typing.get_origin(hint)
     if origin in (tuple, list):
         if not isinstance(value, (list, tuple)):

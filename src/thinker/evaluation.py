@@ -126,7 +126,7 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
     stage = FAST if mode == THINKER_FAST else None
     transcript = begin_episode(item, INFERENCE, budgets, stage, seed=episode_seed, backend_id=backend.name)
     try:
-        result = backend.generate(stage_request(transcript, episode_seed, single_turn_tokens))
+        result = backend.generate(stage_request(transcript, single_turn_tokens))
     except BackendError as exc:
         record_failure(transcript, exc)
         return transcript

@@ -1,4 +1,4 @@
-"""Batch episode execution and per-token credit assignment.
+"""Batch episode execution, per-token credit assignment and transcript records.
 
 Episodes run side by side (at most *parallelism*, one request each) only on
 a backend that waits on a server, each a pure function of its derived seed,
@@ -13,6 +13,7 @@ bootstrap crosses a boundary, while within a stage the discount is 1.
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -30,25 +31,26 @@ from .rewards import (
     reward_verify,
     update_trailing,
 )
-from .task import FAST, SINGLE_TURN, SLOW, SUMMARY, Mode, StageBudgets, Transcript, advance, begin_episode
+from .task import (FAST, SINGLE_TURN, SLOW, SUMMARY, VERIFY, Mode, StageBudgets, Transcript, advance,
+                   begin_episode)
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .grading import answers_equal
 
 _DEFAULT_REWARDS = RewardConfig()  # frozen, so every call without a config shares it
+TRANSCRIPT_SCHEMA_VERSION = 1  # of the JSONL record transcript_record writes
 
 
-def stage_request(state: Transcript, episode_seed: int,
-                  single_turn_tokens: int | None = None) -> GenerationRequest:
+def stage_request(state: Transcript, single_turn_tokens: int | None = None) -> GenerationRequest:
     """The request for the episode's current turn: whole dialogue, the turn's
-    budget and temperature, and a seed derived from the turn's key; the
-    one-shot turn (stage None) has the budget *single_turn_tokens*."""
+    budget and temperature, and a seed derived from the episode's seed and the
+    turn's key; the one-shot turn (stage None) has the budget *single_turn_tokens*."""
     stage, budgets = state.stage, state.budgets
     staged = stage is not None
     return GenerationRequest(
         messages=tuple(state.messages()),
         max_tokens=budgets.budget_for(stage) if staged else single_turn_tokens,
         temperature=budgets.temperature_for(stage),
-        seed=derive_seed(episode_seed, stage.key if staged else SINGLE_TURN),
+        seed=derive_seed(state.seed, stage.key if staged else SINGLE_TURN),
         stage=stage,
         item_id=state.item.id,
         reference_answer=state.item.answer,
@@ -87,7 +89,7 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
                                episode_id=episode_id)
     try:
         while not transcript.terminal:
-            advance(transcript, backend.generate(stage_request(transcript, seed)))
+            advance(transcript, backend.generate(stage_request(transcript)))
     except BackendError as exc:
         record_failure(transcript, exc)
     answers = transcript.answers  # one key per executed answer stage
@@ -315,3 +317,86 @@ def compute_gae(per_token_reward_stream: list[float], values: list[float],
             next_value = value
         start = end
     return advantages
+
+
+def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
+    """Flatten one transcript into the versioned JSONL record schema.
+
+    Adds the credit-assignment view (boundaries, stage_rewards) once every
+    executed stage has its reward. Deliberately excludes wall-clock metadata
+    so identical runs serialize byte-identically.
+    """
+    stages = []
+    for turn in transcript.turns:
+        if turn.stage is VERIFY:
+            extracted = transcript.verdict.value if transcript.verdict else None
+        else:
+            answer = transcript.answers.get(turn.stage)
+            extracted = answer.raw if answer is not None else None
+        stages.append({
+            "stage": turn.key,
+            "prompt": turn.prompt,
+            "response": turn.response,
+            "token_count": turn.token_count,
+            "finish_reason": turn.finish_reason,
+            "extracted": extracted,
+            "reward": transcript.rewards.for_stage(turn.stage),
+        })
+    record = {
+        "schema_version": TRANSCRIPT_SCHEMA_VERSION,
+        "episode_id": transcript.episode_id,
+        "mode": transcript.mode.value,
+        "item_id": transcript.item.id,
+        "seed": transcript.seed,
+        "backend": transcript.backend_id,
+        "config_hash": cfg_hash,
+        "failed": transcript.failed,
+        "error": transcript.error,
+        "stages": stages,
+        "final_stage": transcript.final_stage.key if transcript.final_stage else None,
+        "final_answer": transcript.final_answer.raw if transcript.final_answer else None,
+        "correct": transcript.correct,
+        "summary_logprob": transcript.summary_logprob,
+        "logprob_available": transcript.logprob_available,
+    }
+    try:
+        traj = Trajectory.from_transcript(transcript)
+    except ValueError:  # failed, or a reward not filled (eval samples, unbatched episodes)
+        return record
+    record["boundaries"] = list(traj.boundaries)
+    record["stage_rewards"] = list(traj.stage_rewards)
+    return record
+
+
+def dump_record(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, ensure_ascii=False)
+
+
+def write_transcripts(path: str, transcripts: list[Transcript], cfg_hash: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for transcript in transcripts:
+            fh.write(dump_record(transcript_record(transcript, cfg_hash)))
+            fh.write("\n")
+
+
+def render_transcript(record: dict) -> str:
+    """The text view of one transcript record."""
+    lines = [
+        f"episode {record['episode_id']}  mode={record['mode']}  "
+        f"item={record['item_id']}  seed={record['seed']}  "
+        f"backend={record['backend']}  config={record['config_hash']}"
+    ]
+    for turn in record["stages"]:
+        reward = turn["reward"]
+        reward_str = f"{reward:.4f}" if reward is not None else "-"
+        lines.append(f"\n[{turn['stage']}] tokens={turn['token_count']} "
+                     f"finish={turn['finish_reason']} reward={reward_str}")
+        lines.append(f"  prompt   | {turn['prompt']}")
+        lines.append(f"  response | {turn['response']}")
+    if record["failed"]:
+        lines.append(f"\nFAILED: {record['error']}")
+    else:
+        answer = record["final_answer"] if record["final_answer"] is not None else "<no box>"
+        stage = record["final_stage"] or "-"  # a one-shot sample has no stage
+        lines.append(f"\nfinal: stage={stage} answer={answer!r} correct={record['correct']}")
+    return "\n".join(lines)

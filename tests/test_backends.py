@@ -68,6 +68,10 @@ class TestRequestContract:
                 {"role": "assistant", "content": "b"},
             ), max_tokens=10, temperature=1.0)
 
+    def test_nonempty_messages(self):
+        with pytest.raises(ValueError, match="messages must be nonempty"):
+            GenerationRequest(messages=(), max_tokens=10, temperature=1.0)
+
     def test_positive_budget(self):
         with pytest.raises(ValueError):
             GenerationRequest(messages=user_msg(), max_tokens=0, temperature=1.0)
@@ -566,6 +570,13 @@ class TestHttpBackend:
         with StubServer(lambda payload, i: {"nonsense": True}) as stub:
             backend = HttpBackend(self.settings(stub.base_url))
             with pytest.raises(BackendError, match="malformed"):
+                backend.generate(request())
+
+    def test_non_string_content_raises(self):
+        reply = {"choices": [{"message": {"role": "assistant", "content": 7}, "finish_reason": "stop"}]}
+        with StubServer(lambda payload, i: reply) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            with pytest.raises(BackendError, match="completion content is not a string"):
                 backend.generate(request())
 
     def test_invalid_json_raises(self):

@@ -131,6 +131,12 @@ class TestEpisode:
         data.write_bytes(b'\xef\xbb\xbf{"question": "Compute 1 + 1.", "answer": "2"}\n')
         assert run_cli("episode", "--dataset", str(data)) == 0
 
+    def test_unknown_item_id_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"id": "pick", "question": "Compute 1 + 1.", "answer": "2"}\n')
+        assert run_cli("episode", "--dataset", str(data), "--item-id", "nope") == 5
+        assert "no item with id 'nope'" in capsys.readouterr().err
+
 
 class TestEpisodeViewFence:
     """Digests of the episode views, recorded before they were rendered from
@@ -184,6 +190,12 @@ class TestGrade:
         monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + record + "\n"))
         assert run_cli("grade") == 0
         assert json.loads(capsys.readouterr().out)["correct"] is True
+
+    def test_blank_lines_skipped(self, capsys, monkeypatch):
+        record = json.dumps({"response": "so \\boxed{2}", "answer": "2"})
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"\n{record}\n  \n{record}\n"))
+        assert run_cli("grade") == 0
+        assert [json.loads(line)["correct"] for line in capsys.readouterr().out.splitlines()] == [True, True]
 
     def test_malformed_stdin_is_data_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not json\n"))
@@ -610,3 +622,22 @@ class TestTopLevel:
         cfg.write_text("eval:\n  k: 2\n")
         assert run_cli("--config", str(cfg), "--print-config") == 0
         assert "k: 2" in capsys.readouterr().out
+
+    # each value fails a check of its own: a type, a range, a section, or YAML
+    @pytest.mark.parametrize("overrides, message", [
+        (["rollout.batch_size=0"], "rollout.batch_size must be >= 1"),
+        (["eval.k=0"], "eval.k must be >= 1"),  # the --k flag refuses 0 before the config sees it
+        (["eval.single_turn_tokens=0"], "eval.single_turn_tokens must be >= 1"),
+        (["rewards.logprob_per_token_mean=1"], "expected a boolean, got 1"),
+        (["backend=3"], "backend: expected a mapping"),
+        (["eval.k=3", "eval.k.x=1"], "cannot override 'eval.k.x': 'k' is not a section"),
+        (["eval.k=[1"], "unparseable value"),
+        (["backend.max_attempts=0"], "backend.max_attempts must be >= 1"),
+        (["backend.policy.p_slow_given_fast_correct=1.5"], "p_slow_given_fast_correct must be in [0, 1]"),
+        (["eval.k=null"], "eval.k: expected an integer, got None"),
+    ])
+    def test_bad_set_value_is_config_error(self, overrides, message, capsys):
+        argv = [arg for override in overrides for arg in ("--set", override)]
+        assert run_cli(*argv, "--print-config") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err

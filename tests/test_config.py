@@ -222,6 +222,17 @@ class TestLoadAndOverride:
         with pytest.raises(ConfigError, match=re.escape(f"cannot read config {str(path)!r}")):
             load_config(str(path))
 
+    def test_invalid_yaml_file_is_config_error(self, tmp_path):
+        path = tmp_path / "engine.yaml"
+        path.write_text("eval: [\n")
+        with pytest.raises(ConfigError, match=re.escape(f"config {str(path)!r} is not valid YAML")):
+            load_config(str(path))
+
+    def test_empty_file_gives_defaults(self, tmp_path):
+        path = tmp_path / "engine.yaml"
+        path.write_text("")
+        assert load_config(str(path)) == EngineConfig()
+
     def test_non_mapping_file_rejected(self, tmp_path):
         path = tmp_path / "engine.yaml"
         path.write_text("- just\n- a\n- list\n")

@@ -165,3 +165,25 @@ def test_item_invariants():
         QAItem(id="x", question="", answer="a")
     with pytest.raises(DatasetError):
         QAItem(id="x", question="q", answer="")
+
+
+def test_repeated_id_rejected_in_dataset():
+    item = QAItem(id="x", question="q", answer="1")
+    with pytest.raises(DatasetError, match="duplicate item id 'x'"):
+        Dataset(items=(item, item))
+
+
+@pytest.mark.parametrize("line, message", [
+    (json.dumps(["q", "1"]), "line 1: record must be a JSON object"),
+    (json.dumps({"id": "", "question": "q", "answer": "1"}), "line 1: field 'id' must be a nonempty string"),
+])
+def test_malformed_record_names_line(tmp_path, line, message):
+    path = tmp_path / "d.jsonl"
+    write_lines(path, [line])
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        load_dataset(str(path))
+
+
+def test_negative_sample_size_rejected():
+    with pytest.raises(ValueError, match="nonnegative"):
+        sample_batch(make_dataset(2), -1, 0)

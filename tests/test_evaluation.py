@@ -14,7 +14,7 @@ from thinker.backend import (
     derive_seed,
 )
 from thinker import task
-from thinker.cli import _render_transcript, transcript_record, write_transcripts
+from thinker.rollout import render_transcript as _render_transcript, transcript_record, write_transcripts
 from thinker.dataset import Dataset, QAItem
 from thinker.errors import BackendError
 from thinker.evaluation import (
@@ -201,6 +201,11 @@ class TestEvaluate:
         assert (report.overall_accuracy, report.accuracy_failures_as_wrong) == (1.0, 0.5)
         assert any("e1" in message for message in caplog.messages)
 
+    def test_table_names_excluded_questions(self):
+        fixtures = fixture_map("e0", "\\boxed{1}", "\\boxed{Yes}")  # e1 missing
+        report = evaluate(MockBackend(fixtures), make_dataset(2), THINKER_FAST, k=1, seed=0)
+        assert report.render_table().splitlines()[-1] == "excluded questions: e1"
+
     def test_failures_counted_wrong_beside_pass_at_1(self):
         """Slow thinking runs only after a rejected fast answer, so leaving its
         failures out raises pass@1; the second figure counts them wrong."""
@@ -221,6 +226,10 @@ class TestEvaluate:
         backend = MockBackend({})
         with pytest.raises(BackendError):
             evaluate(backend, make_dataset(2), THINKER, k=1, seed=0)
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(MockBackend({}), make_dataset(1), THINKER, k=0)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -171,3 +171,10 @@ def test_config_validation():
         TrailingConfig(estimator="median")
     with pytest.raises(ValueError):
         TrailingConfig(ema_decay=1.0)
+
+
+def test_trailing_settings_validated():
+    with pytest.raises(ValueError, match="min_batch_for_mean must be >= 1"):
+        TrailingConfig(min_batch_for_mean=0)
+    with pytest.raises(ValueError, match="trailing accuracy must be in"):
+        TrailingAccuracy(p=1.5)

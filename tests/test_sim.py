@@ -1,7 +1,9 @@
 import itertools
+from statistics import fmean, stdev
 
 import pytest
 
+from thinker import Mode, RewardConfig, ScriptedPolicyBackend, Stage, run_batch
 from thinker.backend import PolicyParams
 from thinker.dataset import Dataset
 from thinker.grading import extract_boxed
@@ -188,3 +190,59 @@ class TestSweep:
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ValueError):
             sweep("p_magic", [0.1], PolicyParams(), 10, seed=0)
+
+
+class TestTrainingOracle:
+    """Training mode's per-stage visit rates and mean rewards against their
+    closed form, through run_batch on the scripted policy.
+
+    With n episodes in a batch and p the batch's fast accuracy, an episode's
+    verification reward has mean
+    p_fast*t_p*(1 - E[p | fast correct]) + (1 - p_fast)*t_n*E[p | fast wrong],
+    where E[p | fast correct] = (1 + (n-1)*p_fast)/n and
+    E[p | fast wrong] = (n-1)*p_fast/n. Each statistic is a mean of
+    per-batch values, so its standard error covers the correlation that the
+    shared p brings within a batch.
+    """
+
+    BATCHES, PROMPTS, SAMPLES = 100, 16, 4
+
+    @pytest.mark.parametrize("p_fast,t_p,t_n,p_slow", [(0.4, 0.8, 0.6, 0.7), (0.7, 0.9, 0.5, 0.4)])
+    def test_stage_rates_and_rewards_match_closed_form(self, p_fast, t_p, t_n, p_slow):
+        params = PolicyParams(p_fast=p_fast, t_p=t_p, t_n=t_n, p_slow=p_slow)
+        cfg = RewardConfig()
+        backend = ScriptedPolicyBackend(params)
+        items = gen_synthetic(SyntheticTaskConfig(n_items=self.PROMPTS, seed=5)).items
+        n = self.PROMPTS * self.SAMPLES
+        p_if_correct, p_if_wrong = (1 + (n - 1) * p_fast) / n, (n - 1) * p_fast / n
+        expected = {
+            "fast reward": p_fast,
+            "verify reward": p_fast * t_p * (1 - p_if_correct) + (1 - p_fast) * t_n * p_if_wrong,
+            "slow visits": 1 - p_fast,
+            "slow reward": p_slow,
+            "summary visits": (1 - p_fast) * p_slow,
+        }
+        per_batch = {name: [] for name in expected}
+        summary_rewards = set()
+        for b in range(self.BATCHES):
+            batch = run_batch(backend, items, Mode.TRAINING, seed=b, samples_per_prompt=self.SAMPLES,
+                              reward_cfg=cfg)
+            assert batch.failures == 0 and len(batch.transcripts) == n
+            rewards = [t.rewards for t in batch.transcripts]
+            slow = [r.slow for r in rewards if r.slow is not None]
+            summaries = [r.summary for r in rewards if r.summary is not None]
+            # every training episode verifies, and the summary is visited only after slow thinking
+            assert all(r.fast is not None and r.verify is not None for r in rewards)
+            assert len(slow) == sum(Stage.SLOW_THINKING in t.answers for t in batch.transcripts)
+            assert len(summaries) == sum(Stage.SUMMARIZATION in t.answers for t in batch.transcripts)
+            per_batch["fast reward"].append(fmean(r.fast for r in rewards))
+            per_batch["verify reward"].append(fmean(r.verify for r in rewards))
+            per_batch["slow visits"].append(len(slow) / n)
+            per_batch["slow reward"].append(fmean(slow))
+            per_batch["summary visits"].append(len(summaries) / n)
+            summary_rewards.update(summaries)
+        z = {name: (fmean(values) - expected[name]) / (stdev(values) / len(values) ** 0.5)
+             for name, values in per_batch.items()}
+        assert all(abs(score) < 4 for score in z.values()), z
+        # every scripted summary matches the slow answer and has the same length
+        assert summary_rewards == {1 + cfg.logprob_coef * (params.logprob_per_token * params.summary_tokens)}
