@@ -14,6 +14,9 @@ bootstrap crosses a boundary, while within a stage the discount is 1.
 from __future__ import annotations
 
 import json
+import struct
+from array import array
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -253,21 +256,25 @@ class Trajectory:
         return cls(stage_token_counts=tuple(counts), stage_rewards=tuple(rewards))
 
 
-def compute_stage_returns(traj: Trajectory) -> list[float]:
-    """Per-token returns: every token of a stage gets that stage's reward.
+def compute_stage_returns(traj: Trajectory) -> array:
+    """Per-token returns, one float64 per token in an ``array("d")``: every
+    token of a stage gets that stage's reward.
 
     With reward on the final token, within-stage discount 1, and no flow
     across boundaries, the return is constant inside each stage.
     """
-    returns: list[float] = []
-    for count, reward in zip(traj.stage_token_counts, traj.stage_rewards):
-        returns.extend([reward] * count)
+    returns = array("d", [0.0]) * traj.total_tokens
+    start = 0
+    for end, reward in zip(traj.boundaries, traj.stage_rewards):
+        returns[start:end] = array("d", [reward]) * (end - start)
+        start = end
     return returns
 
 
-def per_token_rewards(traj: Trajectory) -> list[float]:
-    """The sparse reward stream: zero everywhere except stage-final tokens."""
-    rewards = [0.0] * traj.total_tokens
+def per_token_rewards(traj: Trajectory) -> array:
+    """The sparse reward stream as an ``array("d")``: zero everywhere except
+    stage-final tokens."""
+    rewards = array("d", [0.0]) * traj.total_tokens
     for boundary, reward in zip(traj.boundaries, traj.stage_rewards):
         rewards[boundary - 1] = reward
     return rewards
@@ -289,10 +296,11 @@ def _check_stream(rewards, values, boundaries, gamma, lam) -> None:
         raise ValueError(f"gamma and lam must lie in [0, 1], got {gamma!r} and {lam!r}")
 
 
-def compute_gae(per_token_reward_stream: list[float], values: list[float],
+def compute_gae(per_token_reward_stream: Sequence[float], values: Sequence[float],
                 boundaries: tuple[int, ...] | list[int],
-                gamma: float = 1.0, lam: float = 1.0) -> list[float]:
-    """Generalized advantage estimates with hard resets at stage boundaries.
+                gamma: float = 1.0, lam: float = 1.0) -> array:
+    """Generalized advantage estimates with hard resets at stage boundaries,
+    one float64 per token in an ``array("d")``.
 
     Each stage is treated as its own episode: the value after a boundary is
     0 and the recursion restarts, so no signal crosses stages (a discount of
@@ -302,19 +310,25 @@ def compute_gae(per_token_reward_stream: list[float], values: list[float],
 
     The recurrence is one backward pass per stage, evaluated as
     ``(r + gamma*v_next - v) + (gamma*lam)*running`` in that fixed order, so
-    advantages are bitwise reproducible from one version to the next.
+    advantages are bitwise reproducible from one version to the next. The
+    reward stream and the values may be any float sequences, such as lists
+    or arrays.
     """
     _check_stream(per_token_reward_stream, values, boundaries, gamma, lam)
-    advantages = [0.0] * len(per_token_reward_stream)
+    advantages = array("d", [0.0]) * len(per_token_reward_stream)
     decay = gamma * lam
     start = 0
     for end in boundaries:
         running = next_value = 0.0
-        for t in range(end - 1, start - 1, -1):
-            value = values[t]
-            running = per_token_reward_stream[t] + gamma * next_value - value + decay * running
-            advantages[t] = running
+        stage = []
+        # zip over reversed slices, not subscripts: an array's subscript is
+        # not specialized, and pack_into converts at half array("d", list)'s cost
+        for reward, value in zip(reversed(per_token_reward_stream[start:end]), reversed(values[start:end])):
+            running = reward + gamma * next_value - value + decay * running
+            stage.append(running)
             next_value = value
+        stage.reverse()
+        struct.pack_into(f"{end - start}d", advantages, 8 * start, *stage)
         start = end
     return advantages
 

@@ -155,7 +155,7 @@ def test_c04_credit_assignment():
         zeros = [0.0] * traj.total_tokens
         assert compute_gae(stream, zeros, traj.boundaries) == returns
         fast = compute_gae(stream, values, traj.boundaries)
-        assert fast == brute_force_gae(stream, values, traj.boundaries)
+        assert list(fast) == brute_force_gae(stream, values, traj.boundaries)
 
         target = rng.randrange(n_stages)
         perturbed = list(stage_rewards)

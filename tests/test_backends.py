@@ -308,6 +308,15 @@ class TestScriptedPolicy:
                                 rng_seed=2, max_tokens=BUDGET, fast_correct=False).text
         assert extract_verdict(text) is Verdict.NO
 
+    def test_one_message_verification_request_answers_as_for_a_wrong_fast_answer(self):
+        # no fast response in the dialogue, so no fast answer that could be correct
+        params = PolicyParams(t_p=1.0, t_n=1.0)
+        result = ScriptedPolicyBackend(params).generate(
+            request(stage=Stage.VERIFICATION, max_tokens=BUDGET, seed=11))
+        assert result == scripted_respond(Stage.VERIFICATION, "7", params, rng_seed=11,
+                                          max_tokens=BUDGET, fast_correct=False)
+        assert extract_verdict(result.text) is Verdict.NO
+
     def test_verify_requires_fast_correct(self):
         with pytest.raises(ValueError):
             scripted_respond(Stage.VERIFICATION, "7", PolicyParams(), rng_seed=0, max_tokens=BUDGET)

@@ -1,5 +1,8 @@
 import random
 import threading
+import tracemalloc
+from array import array
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -45,8 +48,9 @@ def brute_force_gae(rewards, values, boundaries, gamma=1.0, lam=1.0):
     return advantages
 
 
-# signed zeros and magnitudes up to 1e12, where rounding differs by operand order
-_GAE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+# signed zeros, infinities and magnitudes up to 1e12, where rounding differs
+# by operand order
+_GAE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf")]),
                         st.floats(-1e12, 1e12, allow_nan=False))
 
 
@@ -303,11 +307,11 @@ class TestRunBatch:
 class TestStageReturns:
     def test_two_stage_returns(self):
         traj = Trajectory(stage_token_counts=(5, 7), stage_rewards=(1.0, 0.3))
-        assert compute_stage_returns(traj) == [1.0] * 5 + [0.3] * 7
+        assert list(compute_stage_returns(traj)) == [1.0] * 5 + [0.3] * 7
 
     def test_single_stage_zero(self):
         traj = Trajectory(stage_token_counts=(4,), stage_rewards=(0.0,))
-        assert compute_stage_returns(traj) == [0.0] * 4
+        assert list(compute_stage_returns(traj)) == [0.0] * 4
 
     def test_four_constant_segments(self):
         traj = Trajectory(stage_token_counts=(2, 3, 4, 5), stage_rewards=(1.0, 0.25, 0.0, 0.8))
@@ -318,7 +322,7 @@ class TestStageReturns:
 
     def test_sparse_rewards_at_stage_ends(self):
         traj = Trajectory(stage_token_counts=(3, 2), stage_rewards=(1.0, 0.5))
-        assert per_token_rewards(traj) == [0.0, 0.0, 1.0, 0.0, 0.5]
+        assert list(per_token_rewards(traj)) == [0.0, 0.0, 1.0, 0.0, 0.5]
 
     def test_boundaries_cumulative(self):
         traj = Trajectory(stage_token_counts=(5, 7), stage_rewards=(1.0, 0.3))
@@ -382,7 +386,7 @@ class TestGae:
             lam = rng.choice([1.0, 0.95])
             fast = compute_gae(rewards, values, traj.boundaries, gamma=gamma, lam=lam)
             slow = brute_force_gae(rewards, values, traj.boundaries, gamma=gamma, lam=lam)
-            assert fast == slow  # bitwise: same formula, same evaluation order
+            assert list(fast) == slow  # bitwise: same formula, same evaluation order
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -405,17 +409,44 @@ class TestGae:
             compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=gamma, lam=lam)
 
     def test_discounts_at_unit_interval_ends_accepted(self):
-        assert compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=0.0, lam=0.0) == [0.0, 1.0]
-        assert compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=-0.0, lam=1.0) == [0.0, 1.0]
+        assert list(compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=0.0, lam=0.0)) == [0.0, 1.0]
+        assert list(compute_gae([0.0, 1.0], [0.0, 0.0], (2,), gamma=-0.0, lam=1.0)) == [0.0, 1.0]
 
     @given(gae_case(), st.floats(0, 1), st.floats(0, 1))
     @settings(max_examples=300, deadline=None)
     def test_bits_match_brute_force_at_any_discount(self, case, gamma, lam):
         rewards, values, boundaries = case
-        fast = compute_gae(rewards, values, boundaries, gamma=gamma, lam=lam)
         slow = brute_force_gae(rewards, values, boundaries, gamma=gamma, lam=lam)
-        # float.hex tells -0.0 from 0.0, which == does not
-        assert [a.hex() for a in fast] == [a.hex() for a in slow]
+        for as_sequence in (list, partial(array, "d")):
+            fast = compute_gae(as_sequence(rewards), as_sequence(values), boundaries, gamma=gamma, lam=lam)
+            # float.hex tells -0.0 from 0.0, which == does not
+            assert [a.hex() for a in fast] == [a.hex() for a in slow]
+
+    def test_per_token_outputs_are_float64_buffers(self):
+        traj = Trajectory(stage_token_counts=(3, 2), stage_rewards=(1.0, 0.5))
+        rewards = per_token_rewards(traj)
+        for result in (rewards, compute_stage_returns(traj),
+                       compute_gae(rewards, [0.0] * traj.total_tokens, traj.boundaries)):
+            assert type(result) is array and result.typecode == "d"
+            assert memoryview(result).format == "d"
+
+    def test_advantages_hold_eight_bytes_a_token(self):
+        # a list of floats would hold 32: a 24-byte float object and its slot
+        rng = random.Random(8)
+        boundaries = (1_000, 7_000, 8_000, 20_000)
+        rewards = [rng.uniform(-1, 1) for _ in range(boundaries[-1])]
+        values = [rng.uniform(-1, 1) for _ in range(boundaries[-1])]
+        compute_gae(rewards, values, boundaries)  # fills struct's format cache
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            advantages = compute_gae(rewards, values, boundaries)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(advantages) == len(rewards)
+        # the constant covers the array header and allocator bookkeeping
+        assert held <= 8 * len(rewards) + 4096
 
 
 @st.composite
