@@ -171,12 +171,20 @@ def _filler(lead_words: tuple[str, ...], pad: int) -> str:
     return " ".join([" ".join(lead_words)] * cycles + list(lead_words[:rest]))
 
 
+@functools.lru_cache(maxsize=FILLER_CACHE_SIZE)
 def _padded(lead_words: tuple[str, ...], total_tokens: int, tail: str,
             max_tokens: int) -> GenerationResult:
     """total_tokens whitespace tokens (or the tail's, if more) ending with
     the nonempty *tail*, clipped to max_tokens by truncate_to_budget. Lead
     words hold no whitespace, so the count is known without splitting the
-    text, and the filler before the tail is built once per length."""
+    text, and the filler before the tail is built once per length.
+
+    Memoized, so the samples of an item that draw the same response share
+    its frozen result: run_batch and evaluate visit an item's samples in a
+    row. An entry holds at most a stage budget's words plus the tail.
+    monte_carlo cycles through more items than FILLER_CACHE_SIZE and misses
+    here, so each miss must still find its filler in _filler's memo.
+    """
     tail_len = len(tail.split())
     pad = min(max(total_tokens - tail_len, 0), max_tokens)
     text = _filler(lead_words, pad) + " " + tail if pad else tail

@@ -68,7 +68,8 @@ _FIELD = {FAST: "fast", VERIFY: "verify", SLOW: "slow", SUMMARY: "summary"}
 
 # The assistant turn for slow thinking opens with the think marker already in
 # place; generation continues after it. Chat backends cannot prefill
-# assistant text, so the marker is prepended when the turn is recorded.
+# assistant text, so a turn keeps the generated text and Turn.response
+# prepends the marker when the dialogue or the record reads it.
 RESPONSE_SEED: dict[Stage, str] = {SLOW: "<think>\n"}
 
 
@@ -78,6 +79,10 @@ def load_template(name: str) -> str:
     return resources.files("thinker.templates").joinpath(name).read_text(encoding="utf-8")
 
 
+# Entries kept by the prompt memo; see _render for the sizing.
+PROMPT_CACHE_SIZE = 1024
+
+
 def render_prompt(stage: Stage | None, item: QAItem) -> str:
     """Instantiate the stage template for one question; stage None gives the
     one-shot baseline's (fast thinking's without its length limit).
@@ -85,7 +90,19 @@ def render_prompt(stage: Stage | None, item: QAItem) -> str:
     Substitution is a literal replace so questions containing braces
     survive intact. Verification has no placeholder and renders verbatim.
     """
-    return load_template(f"{_STAGE_KEY[stage]}.txt").replace("{question}", item.question)
+    return _render(stage, item.question)
+
+
+@lru_cache(maxsize=PROMPT_CACHE_SIZE)
+def _render(stage: Stage | None, question: str) -> str:
+    """render_prompt's text, memoized so the turns of one question at one
+    stage share one string. An item has at most four prompts and
+    monte_carlo cycles through 128 items by default, so PROMPT_CACHE_SIZE
+    (1024) entries hold a batch of 64 items or a simulation cycle. An entry
+    takes about 0.35 kB for a short question (the template is under
+    0.3 kB): under 0.4 MB for a full memo.
+    """
+    return load_template(f"{_STAGE_KEY[stage]}.txt").replace("{question}", question)
 
 
 @dataclass(frozen=True)
@@ -118,13 +135,20 @@ class StageBudgets:
 
 @dataclass
 class Turn:
-    """One prompt/response exchange; stage is None for a one-shot baseline."""
+    """One prompt/response exchange; stage is None for a one-shot baseline.
+    text is what the backend generated, and token_count counts it."""
 
     stage: Stage | None
     prompt: str
-    response: str
+    text: str
     token_count: int
     finish_reason: str
+
+    @property
+    def response(self) -> str:
+        """The stage's seed (RESPONSE_SEED), then text: text itself, not a
+        copy, for a stage with no seed."""
+        return RESPONSE_SEED.get(self.stage, "") + self.text
 
     @property
     def key(self) -> str:
@@ -241,17 +265,20 @@ def end_episode(state: Transcript, final_stage: Stage | None) -> None:
 def record_turn(state: Transcript, result) -> None:
     """Record the current stage's turn from *result* (any object with
     ``text``, ``token_count`` and ``finish_reason``, such as a backend
-    GenerationResult): the response with any stage seed prepended, and its
-    answer or verdict, truncated responses included. Nothing is routed."""
+    GenerationResult): its text as generated, and its answer or verdict,
+    truncated responses included. Nothing is routed.
+
+    A stage seed holds no box and no brace, so the answer is read from the
+    text alone."""
     stage = state.stage
     assert state.pending_prompt is not None
-    full_text = RESPONSE_SEED.get(stage, "") + result.text
-    state.turns.append(Turn(stage, state.pending_prompt, full_text,
+    text = result.text
+    state.turns.append(Turn(stage, state.pending_prompt, text,
                             result.token_count, result.finish_reason))
     if stage is VERIFY:
-        state.verdict = extract_verdict(full_text)
+        state.verdict = extract_verdict(text)
     else:
-        state.answers[stage] = extract_boxed(full_text)
+        state.answers[stage] = extract_boxed(text)
 
 
 def advance(state: Transcript, result) -> Transcript:

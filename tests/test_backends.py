@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from thinker.backend import (
     _FILLER,
     _SLOW_FILLER,
+    FILLER_CACHE_SIZE,
     FINISH_LENGTH,
     FINISH_STOP,
     GenerationRequest,
@@ -179,7 +180,8 @@ def _padded_by_join(lead_words, total_tokens, tail, max_tokens):
 
 
 class TestPadded:
-    """_padded builds its filler once per length; the text must not change."""
+    """_padded builds its filler once per length and memoizes its result;
+    the text must not change."""
 
     @given(st.data())
     @settings(max_examples=500, deadline=None)
@@ -208,6 +210,7 @@ class TestPadded:
             return _filler(lead_words, pad)
 
         monkeypatch.setattr("thinker.backend._filler", spy)
+        _padded.cache_clear()  # a memoized result would never reach the spy
         tail = "The final answer is \\boxed{7}."
         result = _padded(_FILLER, 10**5, tail, 50)
         assert pads and max(pads) <= 50
@@ -216,11 +219,19 @@ class TestPadded:
 
     def test_filler_miss_then_hit(self):
         _filler.cache_clear()
+        _padded.cache_clear()
         first = _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET)
         assert (_filler.cache_info().hits, _filler.cache_info().misses) == (0, 1)
-        assert _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET) == first
+        # another tail of the same word count misses _padded's memo and finds the filler
+        other = _padded(_SLOW_FILLER, 5500, "\\boxed{8}", BUDGET)
         assert (_filler.cache_info().hits, _filler.cache_info().misses) == (1, 1)
+        # a _padded hit hands back the same result and never reaches _filler
+        assert _padded(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET) is first
+        assert (_filler.cache_info().hits, _filler.cache_info().misses) == (1, 1)
+        assert (_padded.cache_info().hits, _padded.cache_info().misses) == (1, 2)
+        assert _padded.cache_info().maxsize == FILLER_CACHE_SIZE
         assert first == GenerationResult(*_padded_by_join(_SLOW_FILLER, 5500, "\\boxed{7}", BUDGET))
+        assert other == GenerationResult(*_padded_by_join(_SLOW_FILLER, 5500, "\\boxed{8}", BUDGET))
 
 
 def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,

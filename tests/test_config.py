@@ -6,6 +6,7 @@ import pytest
 from thinker.backend import HttpBackend, ScriptedPolicyBackend
 from thinker.config import (
     EngineConfig,
+    _build_dataclass,
     build_backend,
     config_from_dict,
     config_hash,
@@ -22,6 +23,18 @@ def _config_file(tmp_path, key: str, text: str) -> str:
     path = tmp_path / "engine.yaml"
     path.write_text(text + "\n")
     return str(path)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Weighted:
+    """A section with a field of a type no config field has."""
+
+    weights: dict[str, int] = dataclasses.field(default_factory=dict)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Holder:
+    section: _Weighted = dataclasses.field(default_factory=_Weighted)
 
 
 class TestDefaults:
@@ -79,6 +92,10 @@ class TestBuild:
             config_from_dict({"eval": {"vocab": "wait"}})
         with pytest.raises(ConfigError, match="budgets.fast_tokens"):
             config_from_dict({"budgets": {"fast_tokens": True}})
+
+    def test_unsupported_field_type_named_in_error(self):
+        with pytest.raises(ConfigError, match=r"^section\.weights: unsupported value \{'a': 1\}$"):
+            _build_dataclass(_Holder, {"section": {"weights": {"a": 1}}}, "")
 
     def test_semantic_validation_wrapped(self):
         with pytest.raises(ConfigError, match="summary_temperature"):

@@ -3,15 +3,16 @@ import threading
 import tracemalloc
 from array import array
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker.backend import PolicyParams, ScriptedPolicyBackend, wrong_answer
+from thinker import evaluation
+from thinker.backend import PolicyParams, ScriptedPolicyBackend, count_tokens, wrong_answer
 from thinker.cli import write_transcripts
-from thinker.dataset import QAItem
+from thinker.dataset import Dataset, QAItem
 from thinker.errors import BackendError
 from thinker.grading import ExtractedAnswer
 from thinker.rewards import RewardConfig, TrailingAccuracy, TrailingConfig, update_trailing
@@ -24,7 +25,7 @@ from thinker.rollout import (
     run_episode,
 )
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
-from thinker.task import Mode, Transcript, Turn
+from thinker.task import RESPONSE_SEED, SLOW, Mode, StageBudgets, Transcript, Turn
 
 from conftest import fixture_map
 from mock_backend import (MockBackend, PooledScriptedBackend, RecordingScriptedBackend,
@@ -148,6 +149,18 @@ class TestRunBatch:
         assert batch.fast_accuracy == pytest.approx(0.5)
         for t in batch.ok:
             assert t.rewards.verify in (0.0, 0.5)
+
+    def test_samples_of_one_item_share_text_and_prompt(self):
+        batch = run_batch(ScriptedPolicyBackend(PolicyParams()), make_items(2), Mode.TRAINING,
+                          seed=4, samples_per_prompt=8)
+        for idx in range(2):
+            episodes = batch.transcripts[idx * 8:(idx + 1) * 8]
+            # a fast answer is right or wrong, so two of eight samples drew the same
+            same = [(a, b) for a, b in combinations([t.turns[0] for t in episodes], 2) if a.text == b.text]
+            assert same and all(a.text is b.text for a, b in same)
+            prompts = {}
+            for turn in (turn for t in episodes for turn in t.turns):
+                assert turn.prompt is prompts.setdefault(turn.stage, turn.prompt)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_per_prompt_below_one_rejected(self, samples):
@@ -302,6 +315,29 @@ class TestRunBatch:
     def test_empty_items_rejected(self):
         with pytest.raises(ValueError):
             run_batch(MockBackend({}), [], Mode.TRAINING, seed=0)
+
+
+@pytest.mark.parametrize("kind", ["training", "inference", *evaluation.EVAL_MODES])
+def test_token_count_counts_text_and_response_adds_seed(kind, monkeypatch):
+    backend = ScriptedPolicyBackend(PolicyParams())
+    budgets = StageBudgets(slow_tokens=300)  # below the policy's 400 words, so slow turns are clipped
+    items = make_items(6)
+    if kind in ("training", "inference"):
+        transcripts = run_batch(backend, items, Mode(kind), seed=1, samples_per_prompt=4,
+                                budgets=budgets).transcripts
+    else:
+        transcripts = []
+        sample = evaluation._sample
+        monkeypatch.setattr(evaluation, "_sample",
+                            lambda *args: transcripts.append(sample(*args)) or transcripts[-1])
+        evaluation.evaluate(backend, Dataset(items=tuple(items)), kind, 4, budgets, seed=1)
+    turns = [turn for t in transcripts for turn in t.turns]
+    assert len(transcripts) == 24 and turns
+    for turn in turns:
+        assert count_tokens(turn.text) == turn.token_count
+        assert turn.response == RESPONSE_SEED.get(turn.stage, "") + turn.text
+    if kind in ("training", "inference", evaluation.THINKER):
+        assert any(turn.stage is SLOW and turn.truncated for turn in turns)
 
 
 class TestStageReturns:

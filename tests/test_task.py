@@ -4,13 +4,17 @@ import tokenize
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import thinker
-from thinker.backend import GenerationResult
+from thinker.backend import GenerationResult, PolicyParams, scripted_respond
 from thinker.dataset import QAItem
 from thinker.errors import EpisodeError
-from thinker.grading import Verdict
+from thinker.grading import Verdict, extract_boxed
 from thinker.task import (
+    RESPONSE_SEED,
+    SLOW,
     Mode,
     Stage,
     StageBudgets,
@@ -122,8 +126,18 @@ class TestEpisodeFlow:
         assert state.stage is Stage.SLOW_THINKING
         advance(state, reply("rethought \\boxed{7}"))
         slow_turn = state.turns[-1]
-        assert slow_turn.response.startswith("<think>\n")
-        assert slow_turn.response.endswith("rethought \\boxed{7}")
+        assert slow_turn.text == "rethought \\boxed{7}"
+        assert slow_turn.response == "<think>\n" + slow_turn.text
+
+    @given(st.one_of(
+        st.text(alphabet="\\boxed{}<>/think\n 7", max_size=80),
+        st.builds(lambda seed, truth: scripted_respond(SLOW, truth, PolicyParams(), seed, 6000).text,
+                  st.integers(0, 2**32), st.sampled_from(["7", "1/2", "{x}"])),
+    ))
+    def test_seed_never_changes_the_boxed_answer(self, text):
+        # record_turn reads the answer from the text without the seed
+        for seed in RESPONSE_SEED.values():
+            assert extract_boxed(text) == extract_boxed(seed + text)
 
     def test_messages_alternate(self, item):
         state = begin_episode(item, Mode.INFERENCE)
