@@ -351,10 +351,11 @@ class HttpBackend(Backend):
     at most timeout_s (RFC 6585; RFC 9110 section 10.2.3). timeout_s is the
     socket timeout of each connect, send and receive. A still-failing call
     raises BackendError (episodes record the failure, they never fabricate
-    text). The API key, when required, comes from the environment variable
-    named in the settings, never from config files. Completion scoring is
-    not offered over this protocol: third-party logprobs are a proxy for the
-    policy's own, so the capability is left to in-process backends.
+    text). The API key, when required, is read once, by the constructor,
+    from the environment variable named in the settings (never from config
+    files); a key unfit for a header raises BackendError there. Completion
+    scoring is not offered over this protocol: third-party logprobs are a
+    proxy for the policy's own, so the capability is left to in-process backends.
     """
 
     name = "http"
@@ -376,23 +377,20 @@ class HttpBackend(Backend):
             self._connect = functools.partial(
                 http.client.HTTPConnection, url.hostname, url.port, timeout=self.settings.timeout_s)
         self._idle = deque()  # keep-alive connections between requests; append and pop are atomic
-
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        self._headers = {"Content-Type": "application/json"}
         key = os.environ.get(self.settings.api_key_env, "")
         if key:
             if not (key.isascii() and key.isprintable()):  # a stray "\r" from a file; never echo the key
                 raise BackendError(f"the API key in ${self.settings.api_key_env} holds a character "
                                    "that cannot go in a header")
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
+            self._headers["Authorization"] = f"Bearer {key}"
 
     def _exchange(self, conn, body: bytes) -> tuple[int, str | None, bytes]:
         """Status, Retry-After and body of one POST on conn. The connection
         goes back to the idle pool if the server keeps it open; any error
         closes it."""
         try:
-            conn.request("POST", self._target, body, self._headers())
+            conn.request("POST", self._target, body, self._headers)
             resp = conn.getresponse()
             data = resp.read()
         except BaseException:

@@ -215,7 +215,7 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
         transcript = run_episode(
             backend, item, Mode(args.mode),
             budgets=cfg.budgets, seed=args.seed, reward_cfg=cfg.rewards,
-            trailing=TrailingAccuracy(),
+            trailing=TrailingAccuracy().p,
         )
     record = transcript_record(transcript, config_hash(cfg))
     print(dump_record(record) if args.json else render_transcript(record))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DatasetError
 
@@ -37,16 +37,14 @@ class Dataset:
     """An ordered collection of QAItems with unique ids."""
 
     items: tuple[QAItem, ...]
-    _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "items", tuple(self.items))
-        by_id: dict[str, QAItem] = {}
+        seen: set[str] = set()
         for item in self.items:
-            if item.id in by_id:
+            if item.id in seen:
                 raise DatasetError(f"duplicate item id {item.id!r}")
-            by_id[item.id] = item
-        object.__setattr__(self, "_by_id", by_id)
+            seen.add(item.id)
 
     def __len__(self) -> int:
         return len(self.items)
@@ -55,10 +53,10 @@ class Dataset:
         return iter(self.items)
 
     def get(self, item_id: str) -> QAItem:
-        try:
-            return self._by_id[item_id]
-        except KeyError:
-            raise DatasetError(f"no item with id {item_id!r}") from None
+        for item in self.items:
+            if item.id == item_id:
+                return item
+        raise DatasetError(f"no item with id {item_id!r}")
 
 
 def _parse_record(line: str, line_no: int) -> QAItem:

@@ -173,7 +173,7 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         per_question.append({"id": item.id, "accuracy": p_hat, "samples": len(good)})
 
     if not p_hats:
-        raise BackendError("every question failed on all samples")
+        raise BackendError(f"every question failed on all samples; first error: {samples[0].error}")
     mean_stage_tokens, mean_total_tokens = token_means(usable)
     reflections = [sum(count_reflections(turn.response, vocab) for turn in t.turns) for t in usable]
     total_tokens = sum(t.total_tokens for t in usable)

@@ -82,13 +82,12 @@ def reward_fast(answer: ExtractedAnswer | str | None, truth: str) -> float:
 reward_slow = reward_fast
 
 
-def reward_verify(fast_correct: bool, verdict: Verdict, tracker: TrailingAccuracy | float) -> float:
-    """Class-balanced verification reward.
+def reward_verify(fast_correct: bool, verdict: Verdict, p: float) -> float:
+    """Class-balanced verification reward, where p is the trailing fast accuracy.
 
     (1 - p) for a correct Yes on a correct fast answer, p for a correct No
     on a wrong one; everything else, including malformed verdicts, earns 0.
     """
-    p = tracker.p if isinstance(tracker, TrailingAccuracy) else float(tracker)
     if not 0.0 <= p <= 1.0:
         raise ValueError("trailing accuracy must be in [0, 1]")
     if fast_correct:
@@ -121,14 +120,12 @@ def reward_summary(summary_answer: ExtractedAnswer | str | None,
 
 def update_trailing(tracker: TrailingAccuracy,
                     batch_fast_rewards: list[float],
-                    cfg: TrailingConfig | RewardConfig) -> TrailingAccuracy:
+                    cfg: TrailingConfig) -> TrailingAccuracy:
     """Fold one batch of fast rewards into the trailing-accuracy estimate.
 
     Returns a new tracker; the caller owns when the update happens (one
     barrier per batch).
     """
-    if isinstance(cfg, RewardConfig):
-        cfg = cfg.trailing
     if not batch_fast_rewards:
         raise ValueError("cannot update trailing accuracy from an empty batch")
     batch_mean = fmean(batch_fast_rewards)

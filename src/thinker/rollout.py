@@ -78,14 +78,14 @@ def run_all(backend: Backend, fn, specs: list, parallelism: int) -> list:
 def run_episode(backend: Backend, item: QAItem, mode: Mode,
                 budgets: StageBudgets | None = None, seed: int = 0,
                 reward_cfg: RewardConfig | None = None,
-                trailing: TrailingAccuracy | float | None = None,
+                trailing: float | None = None,
                 episode_id: str | None = None) -> Transcript:
     """Drive one episode to terminal and score it.
 
     Backend failures mark the transcript failed (record_failure) instead of
     raising; a failed episode keeps the reward of a fast turn that finished,
     and gets no other. The verification reward is filled only when a
-    trailing accuracy is supplied; batches defer it to their barrier.
+    trailing accuracy p is supplied; batches defer it to their barrier.
     """
     reward_cfg = reward_cfg or _DEFAULT_REWARDS
     transcript = begin_episode(item, mode, budgets, seed=seed, backend_id=backend.name,
@@ -192,15 +192,16 @@ def run_batch(backend: Backend, items: list[QAItem], mode: Mode, *,
     ok = [t for t in transcripts if not t.failed]
     failures = len(transcripts) - len(ok)
     if not ok:
-        raise BackendError(f"all {len(transcripts)} episodes in the batch failed")
+        raise BackendError(f"all {len(transcripts)} episodes in the batch failed; "
+                           f"first error: {transcripts[0].error}")
 
     # every finished fast turn counts, failed episodes' too: slow thinking runs
     # only after a wrong fast answer, so dropping its failures would inflate p
     fast_rewards = [t.rewards.fast for t in transcripts if t.rewards.fast is not None]
-    trailing = update_trailing(tracker or TrailingAccuracy(), fast_rewards, reward_cfg)
+    trailing = update_trailing(tracker or TrailingAccuracy(), fast_rewards, reward_cfg.trailing)
     for t in ok:
         if t.verdict is not None:
-            t.rewards.verify = reward_verify(t.rewards.fast == 1.0, t.verdict, trailing)
+            t.rewards.verify = reward_verify(t.rewards.fast == 1.0, t.verdict, trailing.p)
 
     mean_stage_tokens, mean_total_tokens = token_means(ok)
     return RolloutBatch(

@@ -466,9 +466,8 @@ class TestHttpBackend:
     def test_key_unfit_for_a_header_fails_without_echo(self, monkeypatch):
         monkeypatch.setenv("THINKER_API_KEY", "sekrit\r")
         with StubServer() as stub:
-            backend = HttpBackend(self.settings(stub.base_url))
             with pytest.raises(BackendError, match=r"API key in \$THINKER_API_KEY") as info:
-                backend.generate(request())
+                HttpBackend(self.settings(stub.base_url))
             assert "sekrit" not in str(info.value)
             assert stub.requests == []
 

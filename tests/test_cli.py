@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -561,6 +562,35 @@ class TestErrorExits:
         paths = dict(data=data, out=tmp_path / "t.jsonl", missing=tmp_path / "missing" / "t.jsonl")
         assert run_cli(*[arg.format(**paths) for arg in argv]) == status
         assert capsys.readouterr().err.startswith(prefix)
+
+    @pytest.mark.parametrize("argv", [_ONE_EPISODE, ("eval", "--dataset", "{data}", "--k", "1")])
+    def test_every_request_failed_names_the_cause(self, argv, tmp_path, capsys):
+        """A run whose every request failed says why, not only that it failed."""
+        with pytest.raises(OSError) as refused:
+            socket.create_connection(("127.0.0.1", 9)).close()
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "2", "--seed", "4", "--out", str(data))
+        capsys.readouterr()
+        code = run_cli("--set", "backend.kind=http", "--set", "backend.base_url=http://127.0.0.1:9/v1",
+                       "--set", "backend.max_attempts=1",
+                       *[arg.format(data=data) for arg in argv], "--out", str(tmp_path / "out"))
+        assert code == 4
+        assert str(refused.value) in capsys.readouterr().err
+
+    def test_key_unfit_for_a_header_stops_the_run_before_any_request(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.setenv("THINKER_API_KEY", "sekrit\r")
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "2", "--seed", "4", "--out", str(data))
+        capsys.readouterr()
+        with StubServer() as stub:
+            code = run_cli("--set", "backend.kind=http", "--set", f"backend.base_url={stub.base_url}",
+                           "eval", "--dataset", str(data), "--k", "1", "--out", str(tmp_path / "out"))
+            assert stub.requests == []
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "$THINKER_API_KEY" in err
+        assert "sekrit" not in err
 
 
 class TestTopLevel:

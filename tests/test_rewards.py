@@ -55,9 +55,6 @@ class TestVerifyReward:
         assert reward_verify(True, Verdict.MALFORMED, 0.5) == 0.0
         assert reward_verify(False, Verdict.MALFORMED, 0.5) == 0.0
 
-    def test_accepts_tracker(self):
-        assert reward_verify(True, Verdict.YES, TrailingAccuracy(p=0.25)) == pytest.approx(0.75)
-
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
             reward_verify(True, Verdict.YES, 1.5)
@@ -130,10 +127,6 @@ class TestTrailing:
         cfg = TrailingConfig(estimator="ema", ema_decay=0.8)
         tracker = update_trailing(TrailingAccuracy(p=0.4), [1.0] * 100, cfg)
         assert tracker.p == pytest.approx(0.8 * 0.4 + 0.2 * 1.0)
-
-    def test_accepts_reward_config(self):
-        tracker = update_trailing(TrailingAccuracy(), [1.0] * 8, RewardConfig())
-        assert tracker.p == 1.0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

@@ -264,7 +264,7 @@ class TestRunBatch:
         for seed in range(3):
             batch = run_batch(backend, make_items(n_items), Mode.TRAINING, seed=seed,
                               samples_per_prompt=2, reward_cfg=cfg, tracker=tracker)
-            expected = update_trailing(expected, [t.rewards.fast for t in batch.ok], cfg)
+            expected = update_trailing(expected, [t.rewards.fast for t in batch.ok], cfg.trailing)
             assert batch.trailing == expected
             p = batch.trailing.p
             for t in batch.ok:
