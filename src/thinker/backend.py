@@ -26,9 +26,7 @@ from urllib.parse import quote, urlsplit
 
 from .errors import BackendError, LogprobUnsupportedError
 from .grading import PARSE_CACHE_SIZE, answers_equal, extract_boxed, parse_numeric
-from .task import FAST, SLOW, SUMMARY, VERIFY, Stage
-
-_READS_FAST_ANSWER = frozenset((VERIFY, SLOW))
+from .task import FAST, SUMMARY, VERIFY, Stage
 
 FINISH_STOP = "stop"
 FINISH_LENGTH = "length"
@@ -210,81 +208,57 @@ def wrong_answer(truth: str) -> str:
     return truth + "_wrong"
 
 
-def scripted_respond(stage: Stage, question_answer: str, params: PolicyParams,
-                     rng_seed: int, max_tokens: int, fast_correct: bool | None = None,
-                     slow_answer: str | None = None) -> GenerationResult:
-    """Compose one stage response for the scripted policy, clipped to
-    max_tokens.
-
-    question_answer is the ground truth the simulated agent targets.
-    fast_correct drives the verification verdict and the per-branch slow
-    override; slow_answer is echoed by the summary stage. Each stage but
-    the summary draws one number from a random.Random seeded with rng_seed.
-    """
-    if stage is FAST:
-        correct = random.Random(rng_seed).random() < params.p_fast
-        answer = question_answer if correct else wrong_answer(question_answer)
-        tail = f"The final answer is \\boxed{{{answer}}}."
-        return _padded(_FILLER, params.fast_tokens, tail, max_tokens)
-    if stage is VERIFY:
-        if fast_correct is None:
-            raise ValueError("verification response needs fast_correct")
-        draw = random.Random(rng_seed).random()
-        if fast_correct:
-            verdict = "Yes" if draw < params.t_p else "No"
-        else:
-            verdict = "No" if draw < params.t_n else "Yes"
-        tail = f"\\boxed{{{verdict}}}"
-        return _padded(_FILLER, params.verify_tokens, tail, max_tokens)
-    if stage is SLOW:
-        p_slow = params.p_slow
-        if fast_correct and params.p_slow_given_fast_correct is not None:
-            p_slow = params.p_slow_given_fast_correct
-        correct = random.Random(rng_seed).random() < p_slow
-        answer = question_answer if correct else wrong_answer(question_answer)
-        tail = f"</think> The refined answer is \\boxed{{{answer}}}."
-        return _padded(_SLOW_FILLER, params.slow_tokens, tail, max_tokens)
-    # summarization: restate the slow answer at the configured length, no draw
-    answer = slow_answer if slow_answer is not None else question_answer
-    tail = f"The final answer is \\boxed{{{answer}}}."
-    return _padded(_FILLER, params.summary_tokens, tail, max_tokens)
-
-
 class ScriptedPolicyBackend(Backend):
-    """Parametric simulated agent; pure function of the request (incl. seed)."""
+    """Parametric simulated agent; a pure function of the request.
+
+    generate reads the stage, the reference answer, the seed (None reads as
+    0), the budget and the dialogue from the request. A request without a
+    reference answer raises BackendError; one without a stage is answered
+    as fast thinking. Every stage but the summary draws once from
+    random.Random(seed), against the PolicyParams chances. Verification and
+    slow thinking grade the fast answer: the boxed answer of the first
+    assistant message, wrong when the dialogue holds one message. The
+    summary restates the boxed answer of messages[-2], the slow response,
+    or the reference when that message has no box. A response is filler
+    ending in a boxed answer, at its stage's length, clipped to max_tokens.
+    """
 
     name = "scripted"
 
     def __init__(self, params: PolicyParams | None = None):
         self.params = params or PolicyParams()
 
-    def _fast_correct(self, request: GenerationRequest) -> bool:
-        # the fast response is the first assistant message of the dialogue
-        if len(request.messages) < 2:
-            return False
-        fast = extract_boxed(request.messages[1]["content"])
-        return answers_equal(fast, request.reference_answer)
-
-    def _slow_answer(self, request: GenerationRequest) -> str | None:
-        # the slow response is the assistant message just before the summary prompt
-        boxed = extract_boxed(request.messages[-2]["content"]) if len(request.messages) > 1 else None
-        return boxed.raw if boxed else None
-
     def generate(self, request: GenerationRequest) -> GenerationResult:
-        if request.reference_answer is None:
+        truth = request.reference_answer
+        if truth is None:
             raise BackendError("scripted backend needs reference_answer metadata")
-        # one-shot requests (no stage) behave like fast thinking
-        stage = request.stage if request.stage is not None else FAST
-        seed = request.seed if request.seed is not None else 0
-        return scripted_respond(
-            stage,
-            request.reference_answer,
-            self.params,
-            rng_seed=seed,
-            max_tokens=request.max_tokens,
-            fast_correct=self._fast_correct(request) if stage in _READS_FAST_ANSWER else None,
-            slow_answer=self._slow_answer(request) if stage is SUMMARY else None,
-        )
+        params = self.params
+        stage = request.stage
+        messages = request.messages
+        if stage is SUMMARY:
+            boxed = extract_boxed(messages[-2]["content"]) if len(messages) > 1 else None
+            answer = boxed.raw if boxed else truth
+            tail = f"The final answer is \\boxed{{{answer}}}."
+            return _padded(_FILLER, params.summary_tokens, tail, request.max_tokens)
+        draw = random.Random(request.seed or 0).random()
+        if stage is None or stage is FAST:
+            answer = truth if draw < params.p_fast else wrong_answer(truth)
+            tail = f"The final answer is \\boxed{{{answer}}}."
+            return _padded(_FILLER, params.fast_tokens, tail, request.max_tokens)
+        fast_correct = len(messages) > 1 and answers_equal(extract_boxed(messages[1]["content"]), truth)
+        if stage is VERIFY:
+            if fast_correct:
+                verdict = "Yes" if draw < params.t_p else "No"
+            else:
+                verdict = "No" if draw < params.t_n else "Yes"
+            tail = f"\\boxed{{{verdict}}}"
+            return _padded(_FILLER, params.verify_tokens, tail, request.max_tokens)
+        p_slow = params.p_slow
+        if fast_correct and params.p_slow_given_fast_correct is not None:
+            p_slow = params.p_slow_given_fast_correct
+        answer = truth if draw < p_slow else wrong_answer(truth)
+        tail = f"</think> The refined answer is \\boxed{{{answer}}}."
+        return _padded(_SLOW_FILLER, params.slow_tokens, tail, request.max_tokens)
 
     def score_logprob(self, prompt_messages, completion_text: str) -> float:
         return self.params.logprob_per_token * count_tokens(completion_text)

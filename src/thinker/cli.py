@@ -256,7 +256,6 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
                 k=cfg.eval.k,
                 budgets=cfg.budgets,
                 seed=args.seed,
-                reward_cfg=cfg.rewards,
                 vocab=cfg.eval.reflection_vocab(),
                 parallelism=cfg.rollout.parallelism,
                 single_turn_tokens=cfg.eval.single_turn_tokens,

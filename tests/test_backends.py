@@ -21,7 +21,6 @@ from thinker.backend import (
     ScriptedPolicyBackend,
     count_tokens,
     derive_seed,
-    scripted_respond,
     truncate_to_budget,
     wrong_answer,
     _filler,
@@ -234,10 +233,24 @@ class TestPadded:
         assert other == GenerationResult(*_padded_by_join(_SLOW_FILLER, 5500, "\\boxed{8}", BUDGET))
 
 
+def policy_request(stage, truth="7", seed=0, budget=BUDGET, fast=None, slow=None):
+    """A request at stage whose dialogue holds the fast answer in
+    messages[1] and the slow answer in messages[-2], as far as the stage's
+    dialogue reaches (fast thinking or no stage: the question alone). An
+    absent answer becomes a response with no box."""
+    replies = [fast, "No", slow][:stage - 1] if stage is not None else []
+    messages = [{"role": "user", "content": "question"}]
+    for answer in replies:
+        content = "reply with no box" if answer is None else f"reply \\boxed{{{answer}}}"
+        messages += [{"role": "assistant", "content": content}, {"role": "user", "content": "next"}]
+    return GenerationRequest(messages=messages, max_tokens=budget, temperature=1.0, seed=seed,
+                             stage=stage, item_id="q1", reference_answer=truth)
+
+
 def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
                         fast_correct=None, slow_answer=None):
-    """scripted_respond as it was before it seeded only the stages that draw:
-    one random.Random(rng_seed) made first, whatever the stage."""
+    """The scripted policy as it was before it seeded only the stages that
+    draw: one random.Random(rng_seed) made first, whatever the stage."""
     rng = random.Random(rng_seed)
     if stage is Stage.FAST_THINKING:
         correct = rng.random() < params.p_fast
@@ -267,8 +280,8 @@ def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
 
 
 class TestRespondSeeding:
-    """scripted_respond seeds a generator only where it draws; the responses
-    must not change."""
+    """The scripted policy seeds a generator only where it draws; the
+    responses must not change."""
 
     @given(st.data())
     @settings(max_examples=1000, deadline=None)
@@ -284,58 +297,61 @@ class TestRespondSeeding:
         answer = data.draw(st.sampled_from(["7", "-3/4", "x", "2 5"]))
         kwargs = dict(rng_seed=data.draw(st.integers(0, 2 ** 63 - 1)),
                       max_tokens=data.draw(st.integers(1, 60)),  # clipped now and then
-                      fast_correct=data.draw(st.none() | st.booleans()),
+                      fast_correct=data.draw(st.booleans()),
                       slow_answer=data.draw(st.none() | st.sampled_from(["7", "8", "y z"])))
-        if stage is Stage.VERIFICATION and kwargs["fast_correct"] is None:
-            for respond in (scripted_respond, _respond_seed_first):
-                with pytest.raises(ValueError, match="fast_correct"):
-                    respond(stage, answer, params, **kwargs)
-            return
-        assert scripted_respond(stage, answer, params, **kwargs) == \
+        # a wrong fast answer is another answer, or a response with no box
+        fast_answer = answer
+        if not kwargs["fast_correct"]:
+            fast_answer = data.draw(st.sampled_from([None, wrong_answer(answer)]))
+        request = policy_request(stage, answer, kwargs["rng_seed"], kwargs["max_tokens"],
+                                 fast=fast_answer, slow=kwargs["slow_answer"])
+        assert ScriptedPolicyBackend(params).generate(request) == \
             _respond_seed_first(stage, answer, params, **kwargs)
 
 
 class TestScriptedPolicy:
     def test_fast_certain_correct(self):
-        text = scripted_respond(Stage.FAST_THINKING, "7", PolicyParams(p_fast=1.0), rng_seed=5, max_tokens=BUDGET).text
+        text = ScriptedPolicyBackend(PolicyParams(p_fast=1.0)).generate(
+            policy_request(Stage.FAST_THINKING, seed=5)).text
         assert extract_boxed(text).raw == "7"
 
     def test_fast_certain_wrong(self):
-        text = scripted_respond(Stage.FAST_THINKING, "7", PolicyParams(p_fast=0.0), rng_seed=5, max_tokens=BUDGET).text
+        text = ScriptedPolicyBackend(PolicyParams(p_fast=0.0)).generate(
+            policy_request(Stage.FAST_THINKING, seed=5)).text
         assert extract_boxed(text).raw == "8"
 
     def test_fast_exact_token_count(self):
         params = PolicyParams(fast_tokens=37)
-        text = scripted_respond(Stage.FAST_THINKING, "7", params, rng_seed=1, max_tokens=BUDGET).text
+        text = ScriptedPolicyBackend(params).generate(policy_request(Stage.FAST_THINKING, seed=1)).text
         assert count_tokens(text) == 37
 
+    @given(seed=st.integers(0, 2 ** 63 - 1), budget=st.integers(1, 200))
+    def test_one_shot_request_answers_as_fast_thinking(self, seed, budget):
+        backend = ScriptedPolicyBackend(PolicyParams(fast_tokens=150))
+        assert backend.generate(policy_request(None, seed=seed, budget=budget)) == \
+            backend.generate(policy_request(Stage.FAST_THINKING, seed=seed, budget=budget))
+
     def test_verify_yes_when_correct_and_tp_one(self):
-        text = scripted_respond(Stage.VERIFICATION, "7", PolicyParams(t_p=1.0),
-                                rng_seed=2, max_tokens=BUDGET, fast_correct=True).text
+        text = ScriptedPolicyBackend(PolicyParams(t_p=1.0)).generate(
+            policy_request(Stage.VERIFICATION, seed=2, fast="7")).text
         assert extract_verdict(text) is Verdict.YES
 
     def test_verify_no_when_wrong_and_tn_one(self):
-        text = scripted_respond(Stage.VERIFICATION, "7", PolicyParams(t_n=1.0),
-                                rng_seed=2, max_tokens=BUDGET, fast_correct=False).text
+        text = ScriptedPolicyBackend(PolicyParams(t_n=1.0)).generate(
+            policy_request(Stage.VERIFICATION, seed=2, fast="8")).text
         assert extract_verdict(text) is Verdict.NO
 
     def test_one_message_verification_request_answers_as_for_a_wrong_fast_answer(self):
         # no fast response in the dialogue, so no fast answer that could be correct
-        params = PolicyParams(t_p=1.0, t_n=1.0)
-        result = ScriptedPolicyBackend(params).generate(
-            request(stage=Stage.VERIFICATION, max_tokens=BUDGET, seed=11))
-        assert result == scripted_respond(Stage.VERIFICATION, "7", params, rng_seed=11,
-                                          max_tokens=BUDGET, fast_correct=False)
+        backend = ScriptedPolicyBackend(PolicyParams(t_p=1.0, t_n=1.0))
+        result = backend.generate(request(stage=Stage.VERIFICATION, max_tokens=BUDGET, seed=11))
+        assert result == backend.generate(policy_request(Stage.VERIFICATION, seed=11, fast="8"))
         assert extract_verdict(result.text) is Verdict.NO
-
-    def test_verify_requires_fast_correct(self):
-        with pytest.raises(ValueError):
-            scripted_respond(Stage.VERIFICATION, "7", PolicyParams(), rng_seed=0, max_tokens=BUDGET)
 
     def test_summary_echoes_slow_answer_at_length(self):
         params = PolicyParams(summary_tokens=350)
-        text = scripted_respond(Stage.SUMMARIZATION, "7", params, rng_seed=3, max_tokens=BUDGET,
-                                slow_answer="42").text
+        text = ScriptedPolicyBackend(params).generate(
+            policy_request(Stage.SUMMARIZATION, seed=3, slow="42")).text
         assert count_tokens(text) == 350
         assert extract_boxed(text).raw == "42"
 
@@ -345,16 +361,17 @@ class TestScriptedPolicy:
         answers = st.text(alphabet="7x/ \t\n", min_size=1, max_size=8)
         stage = data.draw(st.sampled_from(list(Stage)))
         fast, verify, slow, summary = data.draw(st.tuples(*[st.integers(8, 60)] * 4))
-        params = PolicyParams(fast_tokens=fast, verify_tokens=verify, slow_tokens=slow,
-                              summary_tokens=summary)
-        kwargs = dict(rng_seed=data.draw(st.integers(0, 2 ** 32)),
-                      fast_correct=data.draw(st.booleans()),
-                      slow_answer=data.draw(st.none() | answers))
+        backend = ScriptedPolicyBackend(PolicyParams(fast_tokens=fast, verify_tokens=verify,
+                                                     slow_tokens=slow, summary_tokens=summary))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        fast_correct = data.draw(st.booleans())
+        slow_answer = data.draw(st.none() | answers)
         answer = data.draw(answers)
-        full = scripted_respond(stage, answer, params, max_tokens=BUDGET, **kwargs)
+        kwargs = dict(seed=seed, fast=answer if fast_correct else None, slow=slow_answer)
+        full = backend.generate(policy_request(stage, answer, budget=BUDGET, **kwargs))
         assert (full.token_count, full.finish_reason) == (count_tokens(full.text), FINISH_STOP)
         budget = data.draw(st.integers(1, full.token_count + 3))
-        clipped = scripted_respond(stage, answer, params, max_tokens=budget, **kwargs)
+        clipped = backend.generate(policy_request(stage, answer, budget=budget, **kwargs))
         assert (clipped.text, clipped.token_count, clipped.finish_reason) == \
             truncate_to_budget(full.text, budget)
 
@@ -416,10 +433,10 @@ class TestScriptedPolicy:
     def test_empirical_fast_accuracy_matches_p_fast(self):
         p = 0.35
         n = 4000
-        params = PolicyParams(p_fast=p)
+        backend = ScriptedPolicyBackend(PolicyParams(p_fast=p))
         hits = 0
         for i in range(n):
-            text = scripted_respond(Stage.FAST_THINKING, "7", params, rng_seed=i, max_tokens=BUDGET).text
+            text = backend.generate(policy_request(Stage.FAST_THINKING, seed=i)).text
             hits += extract_boxed(text).raw == "7"
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(hits / n - p) < 3 * sigma

@@ -299,6 +299,22 @@ class TestEval:
         assert code == 0
         assert sorted(p.name for p in out_dir.iterdir()) == ["report.single_turn", "report.thinker"]
 
+    def test_reward_settings_leave_every_report_unchanged(self, tmp_path, capsys):
+        # no eval mode scores a summary, so no reward setting reaches a report
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "6", "--seed", "4", "--out", str(data))
+        modes = ("--set", "eval.modes=[thinker, thinker-fast, single-turn]")
+        rewards = ("--set", "rewards.logprob_coef=0.5", "--set", "rewards.min_summary_tokens=0")
+        for name, settings in (("default", ()), ("rewards", rewards)):
+            code = run_cli(*modes, *settings, "eval", "--dataset", str(data), "--k", "3",
+                           "--out", str(tmp_path / f"{name}.json"))
+            assert code == 0
+        for mode in ("thinker", "thinker_fast", "single_turn"):
+            default = json.loads((tmp_path / f"default.{mode}.json").read_text())
+            changed = json.loads((tmp_path / f"rewards.{mode}.json").read_text())
+            assert default.pop("config_hash") != changed.pop("config_hash")
+            assert changed == default
+
     @pytest.mark.parametrize("modes", ["[thinker, thinker]", "[thinker-fast, thinker_fast]"])
     def test_repeated_mode_is_config_error(self, modes, tmp_path, capsys):
         data = tmp_path / "d.jsonl"

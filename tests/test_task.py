@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import thinker
-from thinker.backend import GenerationResult, PolicyParams, scripted_respond
+from thinker.backend import GenerationRequest, GenerationResult, ScriptedPolicyBackend
 from thinker.dataset import QAItem
 from thinker.errors import EpisodeError
 from thinker.grading import Verdict, extract_boxed
@@ -131,7 +131,9 @@ class TestEpisodeFlow:
 
     @given(st.one_of(
         st.text(alphabet="\\boxed{}<>/think\n 7", max_size=80),
-        st.builds(lambda seed, truth: scripted_respond(SLOW, truth, PolicyParams(), seed, 6000).text,
+        st.builds(lambda seed, truth: ScriptedPolicyBackend().generate(GenerationRequest(
+            messages=({"role": "user", "content": "question"},), max_tokens=6000, temperature=1.0,
+            seed=seed, stage=SLOW, reference_answer=truth)).text,
                   st.integers(0, 2**32), st.sampled_from(["7", "1/2", "{x}"])),
     ))
     def test_seed_never_changes_the_boxed_answer(self, text):
