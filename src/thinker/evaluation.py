@@ -10,7 +10,6 @@ question order or on the parallelism bound.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import asdict, dataclass, field
 from statistics import fmean, variance
@@ -26,8 +25,6 @@ from .rollout import record_failure, run_all, run_episode, stage_request, token_
 from .task import (FAST, INFERENCE, SINGLE_TURN, StageBudgets, Transcript, advance, begin_episode,
                    end_episode, record_turn)
 
-logger = logging.getLogger("thinker.eval")
-
 THINKER = "thinker"
 THINKER_FAST = "thinker_fast"
 EVAL_MODES = (THINKER, THINKER_FAST, SINGLE_TURN)
@@ -36,7 +33,7 @@ SINGLE_TURN_TOKENS = 8000  # the one-shot baseline's token budget
 
 @dataclass(frozen=True)
 class ReflectionVocab:
-    """Self-reflection marker words counted in responses (whole word,
+    """Self-reflection marker words counted in generated text (whole word,
     case-insensitive), each beginning and ending with a word character."""
 
     terms: tuple[str, ...] = ("wait", "however", "alternatively")
@@ -144,10 +141,10 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
              single_turn_tokens: int = SINGLE_TURN_TOKENS) -> BenchmarkReport:
     """Measure pass@1 accuracy over k samples per question.
 
-    Questions whose samples all fail are excluded from accuracy (with a
-    warning); individual failures are counted and skipped, and token means
-    cover finished samples only. A report with failures also gives the
-    accuracy with each failure counted wrong.
+    Questions whose samples all fail are excluded from accuracy and listed
+    in excluded_questions; individual failures are counted and skipped, and
+    token means cover finished samples only. A report with failures also
+    gives the accuracy with each failure counted wrong.
     """
     if mode not in EVAL_MODES:
         raise ValueError(f"unknown eval mode {mode!r}; expected one of {EVAL_MODES}")
@@ -164,7 +161,6 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     for i, item in enumerate(dataset):  # specs are item-major: k samples per question
         good = [t for t in samples[i * k:(i + 1) * k] if not t.failed]
         if not good:
-            logger.warning("question %s: all %d samples failed; excluding", item.id, k)
             excluded.append(item.id)
             continue
         usable.extend(good)
@@ -175,7 +171,7 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
     if not p_hats:
         raise BackendError(f"every question failed on all samples; first error: {samples[0].error}")
     mean_stage_tokens, mean_total_tokens = token_means(usable)
-    reflections = [sum(count_reflections(turn.response, vocab) for turn in t.turns) for t in usable]
+    reflections = [sum(count_reflections(turn.text, vocab) for turn in t.turns) for t in usable]
     total_tokens = sum(t.total_tokens for t in usable)
     failures = len(samples) - len(usable)
     return BenchmarkReport(

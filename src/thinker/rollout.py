@@ -17,7 +17,6 @@ import json
 import struct
 from array import array
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import accumulate
 from statistics import fmean
@@ -71,6 +70,7 @@ def run_all(backend: Backend, fn, specs: list, parallelism: int) -> list:
     waits on a server; inline otherwise, as threads only add GIL hand-offs."""
     if parallelism <= 1 or not backend.waits_on_server:
         return [fn(spec) for spec in specs]
+    from concurrent.futures import ThreadPoolExecutor  # loaded on first use: inline runs never pay for it
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(fn, specs))
 

@@ -593,6 +593,23 @@ class TestErrorExits:
         assert code == 4
         assert str(refused.value) in capsys.readouterr().err
 
+    def test_dead_server_eval_writes_only_the_error(self, tmp_path):
+        """Only the CLI prints: an eval whose every question failed writes its
+        one error line and nothing before it. A subprocess, since pytest's log
+        capture would hide anything the engine logged in process."""
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "5", "--seed", "4", "--out", str(data))
+        proc = subprocess.run(
+            [sys.executable, "-m", "thinker.cli", "--set", "backend.kind=http",
+             "--set", "backend.base_url=http://127.0.0.1:9/v1", "--set", "backend.max_attempts=1",
+             "eval", "--dataset", str(data), "--k", "1", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, cwd=tmp_path, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)))
+        assert proc.returncode == 4
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("backend error: every question failed")
+
     def test_key_unfit_for_a_header_stops_the_run_before_any_request(self, tmp_path, capsys,
                                                                      monkeypatch):
         monkeypatch.setenv("THINKER_API_KEY", "sekrit\r")

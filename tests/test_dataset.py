@@ -72,7 +72,7 @@ def test_duplicate_explicit_id_rejected(tmp_path):
         json.dumps({"id": "x", "question": "q1", "answer": "1"}),
         json.dumps({"id": "x", "question": "q2", "answer": "2"}),
     ])
-    with pytest.raises(DatasetError, match="duplicate"):
+    with pytest.raises(DatasetError, match="line 2: duplicate id 'x'"):
         load_dataset(str(path))
 
 

@@ -188,18 +188,20 @@ class TestEvaluate:
         assert a.to_dict() == b.to_dict()
 
     @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
-    def test_failed_question_excluded_with_warning(self, caplog, mode):
+    def test_failed_question_excluded_in_report(self, caplog, mode):
+        """The report is the only account of an excluded question: the
+        engine logs nothing."""
         items = make_dataset(2)
         fixtures = fixture_map("e0", "\\boxed{1}", "\\boxed{Yes}")  # e1 missing
         fixtures[(None, "e0")] = "\\boxed{1}"
         backend = MockBackend(fixtures)
-        with caplog.at_level("WARNING", logger="thinker.eval"):
+        with caplog.at_level("DEBUG"):
             report = evaluate(backend, items, mode, k=2, seed=0)
         assert report.num_questions == 1
         assert report.excluded_questions == ["e1"]
         assert report.failures == 2
         assert (report.overall_accuracy, report.accuracy_failures_as_wrong) == (1.0, 0.5)
-        assert any("e1" in message for message in caplog.messages)
+        assert caplog.records == []
 
     def test_table_names_excluded_questions(self):
         fixtures = fixture_map("e0", "\\boxed{1}", "\\boxed{Yes}")  # e1 missing
@@ -334,6 +336,14 @@ class TestSampleRecord:
         report = evaluate(MockBackend(self.FIXTURES), make_dataset(1), SINGLE_TURN, k=2, seed=0)
         assert report.mean_reflections == 1.0
         assert report.mean_stage_tokens == {"single_turn": 2.0}
+
+    def test_reflections_skip_the_slow_prefill(self):
+        """Reflections are counted in the generated text, the text token_count
+        counts; the slow stage's <think> prefill was never sampled."""
+        fixtures = fixture_map("e0", "\\boxed{0}", "\\boxed{No}", slow="Reworked: \\boxed{1}")
+        report = evaluate(MockBackend(fixtures), make_dataset(1), THINKER, k=1, seed=0,
+                          vocab=ReflectionVocab(terms=("think",)))
+        assert report.mean_reflections == 0.0
 
 
 class RefusingBackend(Backend):

@@ -3,7 +3,9 @@
 `import thinker` stays inside the standard library, and so does the HTTP
 backend: it speaks HTTP through `http.client`. Only reading YAML (a config
 file, `--set`, `--print-config`) loads PyYAML; a shorthand flag such as
-`--k` or `--p-fast` never does. The checks run in a fresh interpreter (this test process has loaded
+`--k` or `--p-fast` never does. Nor does `import thinker` load `logging` or
+`concurrent.futures`: only a run that starts threads loads the thread pool, and
+the probe's scripted runs are inline. The checks run in a fresh interpreter (this test process has loaded
 PyYAML) where `requests` cannot be imported at all.
 """
 
@@ -24,8 +26,12 @@ sys.modules["requests"] = None  # any import of requests raises ImportError
 watched = ("requests", "urllib3", "yaml")
 loaded = lambda: sorted(m for m in watched if sys.modules.get(m) is not None)
 snapshots = {}
+before = set(sys.modules)
+deferred = ("logging", "concurrent.futures")  # only a threaded run loads the pool (and its logging)
+added = lambda: sorted(m for m in deferred if m in sys.modules and m not in before)
 import thinker, thinker.cli
 snapshots["import"] = loaded()
+snapshots["import_stdlib"] = added()
 from thinker import GenerationRequest, HttpBackend
 from thinker.backend import BackendConfig
 backend = HttpBackend(BackendConfig(kind="http", base_url=sys.argv[1]))
@@ -47,6 +53,7 @@ with contextlib.redirect_stdout(io.StringIO()):  # every run given only shorthan
         main(["eval", "--dataset", data, "--k", "1", "--mode", "thinker-fast", "--out", out]),
     ]
 snapshots["flags"] = loaded()
+snapshots["inline_runs_stdlib"] = added()
 from thinker.config import load_config
 load_config(None, ["eval.k=1"])
 snapshots["override"] = loaded()
@@ -65,9 +72,11 @@ def test_dependencies_load_on_first_use(tmp_path):
     with StubServer() as stub:
         snapshots = _snapshots(stub.base_url, str(tmp_path))
     assert snapshots["import"] == []
+    assert snapshots["import_stdlib"] == []
     assert snapshots["http_backend"] == []
     assert snapshots["generate"] == []
     assert snapshots["text"] == "\\boxed{ok}"
     assert snapshots["codes"] == [0, 0, 0, 0]
     assert snapshots["flags"] == []
+    assert snapshots["inline_runs_stdlib"] == []
     assert snapshots["override"] == ["yaml"]
