@@ -202,7 +202,7 @@ def _pick_item(args) -> QAItem:
     if not args.dataset:
         raise ConfigError("need --question/--answer or --dataset")
     dataset = _load_nonempty(args.dataset)
-    if args.item_id:
+    if args.item_id is not None:  # an empty id is looked up too, not read as no id
         return dataset.get(args.item_id)
     if not 0 <= args.index < len(dataset):
         raise ConfigError(f"--index {args.index} out of range (dataset has {len(dataset)} items)")

@@ -127,7 +127,7 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
     except BackendError as exc:
         record_failure(transcript, exc)
         return transcript
-    # one turn, then terminal, without rendering the verification prompt
+    # one turn, then terminal: advance would route a fast turn on to verification
     record_turn(transcript, result)
     end_episode(transcript, stage)
     return transcript

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from statistics import fmean
 
+from . import task  # render_prompt is looked up on task, where the benchmark's tracer patches it
 from .backend import Backend, GenerationRequest, derive_seed
 from .dataset import QAItem
 from .errors import BackendError, LogprobUnsupportedError
@@ -105,7 +106,7 @@ def run_episode(backend: Backend, item: QAItem, mode: Mode,
     if SUMMARY in answers:
         summary_turn = transcript.turns[-1]
         # the summary is scored against the fast-thinking prompt alone
-        fast_prompt = ({"role": "user", "content": transcript.turns[0].prompt},)
+        fast_prompt = ({"role": "user", "content": task.render_prompt(FAST, item)},)
         try:
             logprob = backend.score_logprob(fast_prompt, summary_turn.response)
         except LogprobUnsupportedError:
@@ -350,7 +351,7 @@ def transcript_record(transcript: Transcript, cfg_hash: str) -> dict:
             extracted = answer.raw if answer is not None else None
         stages.append({
             "stage": turn.key,
-            "prompt": turn.prompt,
+            "prompt": task.render_prompt(turn.stage, transcript.item),
             "response": turn.response,
             "token_count": turn.token_count,
             "finish_reason": turn.finish_reason,

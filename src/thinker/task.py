@@ -139,7 +139,6 @@ class Turn:
     text is what the backend generated, and token_count counts it."""
 
     stage: Stage | None
-    prompt: str
     text: str
     token_count: int
     finish_reason: str
@@ -192,7 +191,6 @@ class Transcript:
     seed: int = 0
     backend_id: str = ""
     stage: Stage | None = FAST
-    pending_prompt: str | None = None
     turns: list[Turn] = field(default_factory=list)
     answers: dict[Stage | None, ExtractedAnswer | None] = field(default_factory=dict)
     verdict: Verdict | None = None
@@ -206,7 +204,7 @@ class Transcript:
 
     @property
     def terminal(self) -> bool:
-        return self.stage is None
+        return self.stage is None and bool(self.turns)  # a one-shot sample starts at stage None
 
     @property
     def final_answer(self) -> ExtractedAnswer | None:
@@ -219,13 +217,14 @@ class Transcript:
         return sum(t.token_count for t in self.turns)
 
     def messages(self) -> list[dict[str, str]]:
-        """Dialogue so far plus the pending prompt, as chat messages."""
+        """Each turn's prompt and response, then, until terminal, the current
+        stage's prompt (a failed episode's failed stage), as chat messages."""
         msgs: list[dict[str, str]] = []
         for turn in self.turns:
-            msgs.append({"role": "user", "content": turn.prompt})
+            msgs.append({"role": "user", "content": render_prompt(turn.stage, self.item)})
             msgs.append({"role": "assistant", "content": turn.response})
-        if self.pending_prompt is not None:
-            msgs.append({"role": "user", "content": self.pending_prompt})
+        if not self.terminal:
+            msgs.append({"role": "user", "content": render_prompt(self.stage, self.item)})
         return msgs
 
 
@@ -238,26 +237,17 @@ EpisodeState = Transcript
 def begin_episode(item: QAItem, mode: Mode, budgets: StageBudgets | None = None,
                   stage: Stage | None = FAST, *, seed: int = 0, backend_id: str = "",
                   episode_id: str | None = None) -> Transcript:
-    """Start an episode at *stage* with its prompt rendered; stage None
-    begins the one-shot baseline, which is recorded but never advanced.
-
-    The first prompt is mode-independent; mode only affects routing later.
-    The episode is named *episode_id*, by default ``<item id>@<seed>``.
+    """Start an episode at *stage*; stage None begins the one-shot
+    baseline, which is recorded but never advanced. Mode only affects
+    routing. The episode is named *episode_id*, by default ``<item id>@<seed>``.
     """
     return Transcript(mode=mode, item=item, budgets=budgets or StageBudgets(), stage=stage,
-                      pending_prompt=render_prompt(stage, item),
                       episode_id=episode_id or f"{item.id}@{seed}", seed=seed, backend_id=backend_id)
-
-
-def _enter(state: Transcript, stage: Stage) -> None:
-    state.stage = stage
-    state.pending_prompt = render_prompt(stage, state.item)
 
 
 def end_episode(state: Transcript, final_stage: Stage | None) -> None:
     """Make the episode terminal and grade *final_stage*'s answer."""
     state.stage = None
-    state.pending_prompt = None
     state.final_stage = final_stage
     state.correct = answers_equal(state.answers.get(final_stage), state.item.answer)
 
@@ -271,10 +261,8 @@ def record_turn(state: Transcript, result) -> None:
     A stage seed holds no box and no brace, so the answer is read from the
     text alone."""
     stage = state.stage
-    assert state.pending_prompt is not None
     text = result.text
-    state.turns.append(Turn(stage, state.pending_prompt, text,
-                            result.token_count, result.finish_reason))
+    state.turns.append(Turn(stage, text, result.token_count, result.finish_reason))
     if stage is VERIFY:
         state.verdict = extract_verdict(text)
     else:
@@ -283,15 +271,15 @@ def record_turn(state: Transcript, result) -> None:
 
 def advance(state: Transcript, result) -> Transcript:
     """Record the current stage's turn and apply the routing table: the
-    episode moves to the next stage (pending prompt rendered) or ends."""
-    if state.terminal:
-        raise EpisodeError("cannot advance a terminal episode")
+    episode moves to the next stage or ends. Stage None (ended or one-shot) is refused."""
+    if state.stage is None:
+        raise EpisodeError("cannot advance an episode with no stage")
     record_turn(state, result)
 
     stage = state.stage
     training = state.mode is TRAINING
     if stage is FAST:
-        _enter(state, VERIFY)
+        state.stage = VERIFY
     elif stage is VERIFY:
         # inference trusts the verdict; training grades the fast answer instead
         accepted = (answers_equal(state.answers.get(FAST), state.item.answer)
@@ -299,10 +287,10 @@ def advance(state: Transcript, result) -> Transcript:
         if accepted:
             end_episode(state, FAST)
         else:
-            _enter(state, SLOW)
+            state.stage = SLOW
     elif (stage is SLOW and training
           and answers_equal(state.answers.get(SLOW), state.item.answer)):
-        _enter(state, SUMMARY)
+        state.stage = SUMMARY
     else:  # slow thinking otherwise, or summarization: the slow answer is final
         end_episode(state, SLOW)
     return state

@@ -135,8 +135,9 @@ class TestEpisode:
     def test_unknown_item_id_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
         data.write_text('{"id": "pick", "question": "Compute 1 + 1.", "answer": "2"}\n')
-        assert run_cli("episode", "--dataset", str(data), "--item-id", "nope") == 5
-        assert "no item with id 'nope'" in capsys.readouterr().err
+        for item_id in ("nope", ""):  # the empty id is an id too, not the first item
+            assert run_cli("episode", "--dataset", str(data), "--item-id", item_id) == 5
+            assert f"no item with id {item_id!r}" in capsys.readouterr().err
 
 
 class TestEpisodeViewFence:

@@ -314,7 +314,7 @@ class TestSampleRecord:
     def test_one_turn_sample_is_terminal(self, mode):
         t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
                     RewardConfig(), 8000)
-        assert t.terminal and t.pending_prompt is None
+        assert t.terminal and [m["role"] for m in t.messages()] == ["user", "assistant"]
         assert t.final_stage is t.turns[0].stage
         assert t.final_answer.raw == "1"
         with pytest.raises(ValueError):  # no stage rewards on an eval sample

@@ -23,9 +23,10 @@ from thinker.rollout import (
     per_token_rewards,
     run_batch,
     run_episode,
+    stage_request,
 )
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
-from thinker.task import RESPONSE_SEED, SLOW, Mode, StageBudgets, Transcript, Turn
+from thinker.task import RESPONSE_SEED, SLOW, Mode, Stage, StageBudgets, Transcript, Turn, render_prompt
 
 from conftest import fixture_map
 from mock_backend import (MockBackend, PooledScriptedBackend, RecordingScriptedBackend,
@@ -120,6 +121,17 @@ class TestRunEpisode:
         assert "fast_thinking" in t.error
         assert t.final_answer is None
 
+    def test_failed_episode_dialogue_ends_with_failed_stage_prompt(self, item):
+        backend = MockBackend({(Stage.FAST_THINKING, item.id): "\\boxed{8}",
+                               (Stage.VERIFICATION, item.id): "\\boxed{No}"})
+        t = run_episode(backend, item, Mode.TRAINING, seed=1)  # no slow-thinking fixture
+        assert t.failed and t.stage is SLOW and len(t.turns) == 2
+        assert t.messages()[-1] == {"role": "user", "content": render_prompt(SLOW, item)}
+
+    def test_transcript_without_begin_episode_sends_fast_prompt(self, item):
+        request = stage_request(Transcript(mode=Mode.INFERENCE, item=item))
+        assert request.messages == ({"role": "user", "content": render_prompt(Stage.FAST_THINKING, item)},)
+
     def test_deterministic_transcripts(self, item):
         backend = ScriptedPolicyBackend(PolicyParams(p_fast=0.4, t_p=0.6, t_n=0.7, p_slow=0.5))
         a = run_episode(backend, item, Mode.TRAINING, seed=42)
@@ -158,9 +170,11 @@ class TestRunBatch:
             # a fast answer is right or wrong, so two of eight samples drew the same
             same = [(a, b) for a, b in combinations([t.turns[0] for t in episodes], 2) if a.text == b.text]
             assert same and all(a.text is b.text for a, b in same)
+            # one prompt string per stage, shared by every sample's dialogue
             prompts = {}
-            for turn in (turn for t in episodes for turn in t.turns):
-                assert turn.prompt is prompts.setdefault(turn.stage, turn.prompt)
+            for t in episodes:
+                for turn, message in zip(t.turns, t.messages()[::2]):
+                    assert message["content"] is prompts.setdefault(turn.stage, message["content"])
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_samples_per_prompt_below_one_rejected(self, samples):
@@ -390,7 +404,7 @@ class TestStageReturns:
     def test_from_transcript_stage_less_turn(self, item):
         # a one-shot eval sample: its only turn has no stage and no reward
         t = Transcript(Mode.INFERENCE, item, stage=None)
-        t.turns.append(Turn(None, "prompt", "\\boxed{7}", 3, "stop"))
+        t.turns.append(Turn(None, "\\boxed{7}", 3, "stop"))
         with pytest.raises(ValueError, match="single_turn"):
             Trajectory.from_transcript(t)
 

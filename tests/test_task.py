@@ -111,13 +111,13 @@ class TestEpisodeFlow:
     def test_begin_renders_fast_prompt(self, item):
         state = begin_episode(item, Mode.TRAINING)
         assert state.stage is Stage.FAST_THINKING
-        assert "Compute 3 + 4." in state.pending_prompt
+        assert "Compute 3 + 4." in state.messages()[-1]["content"]
         assert state.turns == []
 
     def test_first_prompt_mode_independent(self, item):
         training = begin_episode(item, Mode.TRAINING)
         inference = begin_episode(item, Mode.INFERENCE)
-        assert training.pending_prompt == inference.pending_prompt
+        assert training.messages() == inference.messages()
 
     def test_slow_response_gets_think_seed(self, item):
         state = begin_episode(item, Mode.INFERENCE)
@@ -154,6 +154,13 @@ class TestEpisodeFlow:
         assert state.terminal
         with pytest.raises(EpisodeError):
             advance(state, reply("more"))
+
+    def test_advance_refuses_one_shot_sample(self, item):
+        state = begin_episode(item, Mode.INFERENCE, stage=None)
+        assert not state.terminal
+        with pytest.raises(EpisodeError):
+            advance(state, reply("\\boxed{7}"))
+        assert state.turns == []
 
     def test_final_answer_requires_terminal(self, item):
         state = begin_episode(item, Mode.INFERENCE)
@@ -270,8 +277,8 @@ def test_verdict_recorded(item):
 
 class TestTurnKey:
     def test_stage_key_or_single_turn(self):
-        assert Turn(Stage.SLOW_THINKING, "p", "r", 1, "stop").key == "slow_thinking"
-        assert Turn(None, "p", "r", 1, "stop").key == "single_turn"
+        assert Turn(Stage.SLOW_THINKING, "r", 1, "stop").key == "slow_thinking"
+        assert Turn(None, "r", 1, "stop").key == "single_turn"
 
 
 # each member's key and its field on StageBudgets and on StageRewards
@@ -295,7 +302,7 @@ class TestStageTables:
         for stage in Stage:
             key, budget_field, reward_field = _STAGE_FIELDS[stage]
             assert stage.key == key == stage.name.lower()
-            assert Turn(stage, "p", "r", 1, "stop").key == key
+            assert Turn(stage, "r", 1, "stop").key == key
             assert budgets.budget_for(stage) == getattr(budgets, budget_field)
             assert rewards.for_stage(stage) == getattr(rewards, reward_field)
             assert budgets.temperature_for(stage) == (0.3 if stage is Stage.SUMMARIZATION else 0.9)
