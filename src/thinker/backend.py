@@ -116,15 +116,12 @@ class PolicyParams:
     P(boxed No | fast answer was wrong). Token fields fix each stage's
     response length (whitespace tokens) so length accounting is exact, and
     logprob_per_token makes scored summaries linear in their length.
-    p_slow_given_fast_correct optionally overrides p_slow for episodes whose
-    correct fast answer was rejected by verification.
     """
 
     p_fast: float = 0.5
     t_p: float = 0.8
     t_n: float = 0.8
     p_slow: float = 0.5
-    p_slow_given_fast_correct: float | None = None
     fast_tokens: int = 120
     verify_tokens: int = 80
     slow_tokens: int = 400
@@ -136,8 +133,6 @@ class PolicyParams:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.p_slow_given_fast_correct is not None and not 0.0 <= self.p_slow_given_fast_correct <= 1.0:
-            raise ValueError("p_slow_given_fast_correct must be in [0, 1]")
         for name in ("fast_tokens", "verify_tokens", "slow_tokens", "summary_tokens"):
             if getattr(self, name) < 8:
                 raise ValueError(f"{name} must be >= 8 (room for the closing sentence)")
@@ -215,12 +210,12 @@ class ScriptedPolicyBackend(Backend):
     0), the budget and the dialogue from the request. A request without a
     reference answer raises BackendError; one without a stage is answered
     as fast thinking. Every stage but the summary draws once from
-    random.Random(seed), against the PolicyParams chances. Verification and
-    slow thinking grade the fast answer: the boxed answer of the first
-    assistant message, wrong when the dialogue holds one message. The
-    summary restates the boxed answer of messages[-2], the slow response,
-    or the reference when that message has no box. A response is filler
-    ending in a boxed answer, at its stage's length, clipped to max_tokens.
+    random.Random(seed), against the PolicyParams chances. Only verification
+    grades the fast answer: the boxed answer of the first assistant message,
+    wrong when the dialogue holds one message. The summary restates the
+    boxed answer of messages[-2], the slow response, or the reference when
+    that message has no box. A response is filler ending in a boxed answer,
+    at its stage's length, clipped to max_tokens.
     """
 
     name = "scripted"
@@ -245,18 +240,14 @@ class ScriptedPolicyBackend(Backend):
             answer = truth if draw < params.p_fast else wrong_answer(truth)
             tail = f"The final answer is \\boxed{{{answer}}}."
             return _padded(_FILLER, params.fast_tokens, tail, request.max_tokens)
-        fast_correct = len(messages) > 1 and answers_equal(extract_boxed(messages[1]["content"]), truth)
         if stage is VERIFY:
-            if fast_correct:
+            if len(messages) > 1 and answers_equal(extract_boxed(messages[1]["content"]), truth):
                 verdict = "Yes" if draw < params.t_p else "No"
             else:
                 verdict = "No" if draw < params.t_n else "Yes"
             tail = f"\\boxed{{{verdict}}}"
             return _padded(_FILLER, params.verify_tokens, tail, request.max_tokens)
-        p_slow = params.p_slow
-        if fast_correct and params.p_slow_given_fast_correct is not None:
-            p_slow = params.p_slow_given_fast_correct
-        answer = truth if draw < p_slow else wrong_answer(truth)
+        answer = truth if draw < params.p_slow else wrong_answer(truth)
         tail = f"</think> The refined answer is \\boxed{{{answer}}}."
         return _padded(_SLOW_FILLER, params.slow_tokens, tail, request.max_tokens)
 

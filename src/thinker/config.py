@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import types
 import typing
 from dataclasses import dataclass, field
 
@@ -77,13 +76,7 @@ _EXPONENT_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE][-+]?[0-9]+"
 
 
 def _coerce_scalar(hint, value, path: str):
-    origin = typing.get_origin(hint)
-    if origin in (typing.Union, types.UnionType):  # X | None, where null stands for None
-        if value is None:
-            return None
-        hint = next(a for a in typing.get_args(hint) if a is not type(None))
-        origin = typing.get_origin(hint)
-    if origin in (tuple, list):
+    if typing.get_origin(hint) in (tuple, list):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{path}: expected a list")
         inner = typing.get_args(hint)[0] if typing.get_args(hint) else str

@@ -97,11 +97,8 @@ def analytic_accuracy(params: PolicyParams) -> float:
     (of a right or wrong answer) routes to slow thinking, whose success rate
     then decides.
     """
-    p_slow_fc = params.p_slow_given_fast_correct
-    if p_slow_fc is None:
-        p_slow_fc = params.p_slow
     accepted_correct = params.p_fast * params.t_p
-    rejected_correct = params.p_fast * (1.0 - params.t_p) * p_slow_fc
+    rejected_correct = params.p_fast * (1.0 - params.t_p) * params.p_slow
     rejected_wrong = (1.0 - params.p_fast) * params.t_n * params.p_slow
     return accepted_correct + rejected_correct + rejected_wrong
 

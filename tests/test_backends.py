@@ -267,10 +267,7 @@ def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
         tail = f"\\boxed{{{verdict}}}"
         return _padded(_FILLER, params.verify_tokens, tail, max_tokens)
     if stage is Stage.SLOW_THINKING:
-        p_slow = params.p_slow
-        if fast_correct and params.p_slow_given_fast_correct is not None:
-            p_slow = params.p_slow_given_fast_correct
-        correct = rng.random() < p_slow
+        correct = rng.random() < params.p_slow
         answer = question_answer if correct else wrong_answer(question_answer)
         tail = f"</think> The refined answer is \\boxed{{{answer}}}."
         return _padded(_SLOW_FILLER, params.slow_tokens, tail, max_tokens)
@@ -290,7 +287,6 @@ class TestRespondSeeding:
         p_fast, t_p, t_n, p_slow = data.draw(st.tuples(*[probability] * 4))
         fast, verify, slow, summary = data.draw(st.tuples(*[st.integers(8, 40)] * 4))
         params = PolicyParams(p_fast=p_fast, t_p=t_p, t_n=t_n, p_slow=p_slow,
-                              p_slow_given_fast_correct=data.draw(st.none() | probability),
                               fast_tokens=fast, verify_tokens=verify, slow_tokens=slow,
                               summary_tokens=summary)
         stage = data.draw(st.sampled_from(list(Stage)))

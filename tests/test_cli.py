@@ -142,13 +142,14 @@ class TestEpisode:
 
 class TestEpisodeViewFence:
     """Digests of the episode views, recorded before they were rendered from
-    the transcript record; a change to either view by one byte fails here."""
+    the transcript record and re-pinned only where the config hash they
+    print changed; a change to either view by one byte fails here."""
 
     @pytest.mark.parametrize("mode,seed,digest", [
-        ("training", 0, "057a9e6fe29ee0395a2984fa523b55b690277eb02d9529900c95b5a5de98396c"),
-        ("training", 5, "16539e4ff65d696b7b8243a1ad214e6b1414e3ec17f723ca0c13a778672fb28c"),
-        ("inference", 0, "baf9f6b98494d2eb4aca8c73d58ea12d0c37ce865ba7da14dbb3d3f69456c903"),
-        ("inference", 5, "b5d010323d84b5b6f877b5880b7dfc77c3b749c2f263b6eec46b3dd0b8db2d56"),
+        ("training", 0, "e53735a47dd216f1ff0da589f8eff5cd94e1dcb5c68af36e8d24745d587b3ae5"),
+        ("training", 5, "9595a422ef3d6ddbbca6223bf81e3da53e6a4d86083a87618f1daf68379b9652"),
+        ("inference", 0, "2c81a941080c11c969f5e0b03bce7a1719f436cdcaa54a46065a61681e2deead"),
+        ("inference", 5, "cbd3879c2e0c1184e9412fadda3251be3b133cc06e82210f4f87db53d44aa1da"),
     ])
     def test_text_bytes(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed)) == 0
@@ -160,11 +161,11 @@ class TestEpisodeViewFence:
         assert run_cli("episode", "--question", "Compute 2 + 2.", "--answer", "4") == 0
         out = capsys.readouterr().out
         assert out.endswith("final: stage=fast_thinking answer='' correct=False\n")
-        assert _sha(out) == "d3d0977fbe5febf4a7c4eb47f0ca6741459e9a4dfabd8974e82bc8d684d65dd9"
+        assert _sha(out) == "19a112b869a1a44bc58b112c2f226b7219507062eb2258a2df2c368b330d1006"
 
     @pytest.mark.parametrize("mode,seed,digest", [
-        ("training", 5, "dc5f846433dcbb82100d37ff7ac7095ab2319dd566f3d4110ba464a57f441b20"),
-        ("inference", 0, "7440cbfba8e2f74452b0d9ffd03e1da5e49cfd73e61aed9d78e4170186abaea6"),
+        ("training", 5, "1bf880d84bff52c05ef0c5e10752f9ee9dde456d72c3b72428128f80ce404c73"),
+        ("inference", 0, "21e163e907841868b017337c0ee66c686094d24624343ce371031dd582227511"),
     ])
     def test_json_bytes_without_returns(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed), "--json") == 0
@@ -687,7 +688,7 @@ class TestTopLevel:
         assert run_cli("--config", str(cfg), "--print-config") == 0
         assert "k: 2" in capsys.readouterr().out
 
-    # each value fails a check of its own: a type, a range, a section, or YAML
+    # each value fails a check of its own: a type, a range, a section, a key, or YAML
     @pytest.mark.parametrize("overrides, message", [
         (["rollout.batch_size=0"], "rollout.batch_size must be >= 1"),
         (["eval.k=0"], "eval.k must be >= 1"),  # the --k flag refuses 0 before the config sees it
@@ -697,7 +698,8 @@ class TestTopLevel:
         (["eval.k=3", "eval.k.x=1"], "cannot override 'eval.k.x': 'k' is not a section"),
         (["eval.k=[1"], "unparseable value"),
         (["backend.max_attempts=0"], "backend.max_attempts must be >= 1"),
-        (["backend.policy.p_slow_given_fast_correct=1.5"], "p_slow_given_fast_correct must be in [0, 1]"),
+        (["backend.policy.p_slow_given_fast_correct=0.5"],
+         "unknown config key 'backend.policy.p_slow_given_fast_correct'"),
         (["eval.k=null"], "eval.k: expected an integer, got None"),
     ])
     def test_bad_set_value_is_config_error(self, overrides, message, capsys):
@@ -705,3 +707,12 @@ class TestTopLevel:
         assert run_cli(*argv, "--print-config") == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    def test_retired_key_in_file_is_config_error(self, tmp_path, capsys):
+        # a --print-config file saved while the key existed holds it as null
+        cfg = tmp_path / "engine.yaml"
+        cfg.write_text("backend: {policy: {p_slow_given_fast_correct: null}}\n")
+        assert run_cli("--config", str(cfg), "--print-config") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "unknown config key 'backend.policy.p_slow_given_fast_correct'" in err

@@ -125,12 +125,6 @@ class TestBuild:
         cfg = config_from_dict({"eval": {"vocab": ["wait", "hmm"]}})
         assert cfg.eval.vocab == ("wait", "hmm")
 
-    def test_optional_policy_field(self):
-        cfg = config_from_dict({"backend": {"policy": {"p_slow_given_fast_correct": 0.4}}})
-        assert cfg.backend.policy.p_slow_given_fast_correct == 0.4
-        cfg = config_from_dict({"backend": {"policy": {"p_slow_given_fast_correct": None}}})
-        assert cfg.backend.policy.p_slow_given_fast_correct is None
-
     def test_flat_backend_keys(self):
         cfg = config_from_dict({"backend": {
             "kind": "http", "base_url": "http://h/v1", "model": "m",
@@ -263,7 +257,7 @@ class TestHash:
 
     def test_default_hash_pinned(self):
         # every output file of a default run embeds this value
-        assert config_hash(EngineConfig()) == "ebed2bc047c17f44"
+        assert config_hash(EngineConfig()) == "42906493996766aa"
 
     def test_mode_spellings_hash_alike(self):
         hashes = {config_hash(config_from_dict({"eval": {"modes": [mode]}}))

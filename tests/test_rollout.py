@@ -26,7 +26,7 @@ from thinker.rollout import (
     stage_request,
 )
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
-from thinker.task import RESPONSE_SEED, SLOW, Mode, Stage, StageBudgets, Transcript, Turn, render_prompt
+from thinker.task import FAST, RESPONSE_SEED, SLOW, Mode, Stage, StageBudgets, Transcript, Turn, render_prompt
 
 from conftest import fixture_map
 from mock_backend import (MockBackend, PooledScriptedBackend, RecordingScriptedBackend,
@@ -99,10 +99,17 @@ class TestRunEpisode:
         assert not t.correct
 
     def test_summary_logprob_scored_against_fast_prompt(self, item):
+        class PromptRecordingBackend(ScriptedPolicyBackend):
+            def score_logprob(self, prompt_messages, completion_text):
+                prompts.append(prompt_messages)
+                return super().score_logprob(prompt_messages, completion_text)
+
+        prompts = []
         params = PolicyParams(p_fast=0.0, t_n=1.0, p_slow=1.0, logprob_per_token=-0.5)
-        backend = ScriptedPolicyBackend(params)
+        backend = PromptRecordingBackend(params)
         t = run_episode(backend, item, Mode.TRAINING, seed=1)
         summary_turn = t.turns[-1]
+        assert prompts == [({"role": "user", "content": render_prompt(FAST, item)},)]
         assert t.summary_logprob == pytest.approx(-0.5 * summary_turn.token_count)
         assert t.rewards.summary == pytest.approx(
             1.0 + 1e-3 * t.summary_logprob)
@@ -120,6 +127,15 @@ class TestRunEpisode:
         assert t.failed
         assert "fast_thinking" in t.error
         assert t.final_answer is None
+
+    def test_failed_summary_keeps_only_fast_reward(self, item):
+        backend = MockBackend({(Stage.FAST_THINKING, item.id): "\\boxed{5}",
+                               (Stage.VERIFICATION, item.id): "\\boxed{No}",
+                               (Stage.SLOW_THINKING, item.id): "\\boxed{7}"})
+        t = run_episode(backend, item, Mode.TRAINING, seed=1, trailing=0.7)  # no summarization fixture
+        assert t.failed and t.stage is Stage.SUMMARIZATION
+        assert t.rewards.fast == 0.0
+        assert (t.rewards.verify, t.rewards.slow, t.rewards.summary) == (None, None, None)
 
     def test_failed_episode_dialogue_ends_with_failed_stage_prompt(self, item):
         backend = MockBackend({(Stage.FAST_THINKING, item.id): "\\boxed{8}",

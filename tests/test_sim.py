@@ -75,12 +75,6 @@ class TestAnalyticAccuracy:
         params = PolicyParams(p_fast=0.0, t_n=1.0, p_slow=1.0)
         assert analytic_accuracy(params) == pytest.approx(1.0)
 
-    def test_per_branch_slow_override(self):
-        params = PolicyParams(p_fast=0.5, t_p=0.5, t_n=1.0, p_slow=0.2,
-                              p_slow_given_fast_correct=1.0)
-        expected = 0.5 * 0.5 + 0.5 * 0.5 * 1.0 + 0.5 * 1.0 * 0.2
-        assert analytic_accuracy(params) == pytest.approx(expected)
-
     def test_monotone_in_each_parameter(self):
         grid = [0.0, 0.25, 0.5, 0.75, 1.0]
         for name in ("p_fast", "t_p", "t_n", "p_slow"):
