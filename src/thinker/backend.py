@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlsplit
 
+from .dataset import find_surrogate
 from .errors import BackendError, LogprobUnsupportedError
 from .grading import PARSE_CACHE_SIZE, answers_equal, extract_boxed, parse_numeric
 from .task import FAST, SUMMARY, VERIFY, Stage
@@ -428,13 +429,13 @@ class HttpBackend(Backend):
             text = choice["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed completion payload: {exc!r}") from exc
-        if not isinstance(text, str):
-            raise BackendError("completion content is not a string")
+        if not isinstance(text, str) or find_surrogate(text):  # a lone surrogate is never echoed
+            raise BackendError("completion content is not a string UTF-8 can encode")
         usage = body.get("usage")
         tokens = usage.get("completion_tokens") if isinstance(usage, dict) else None
         if type(tokens) is not int or tokens < 0:  # a JSON true or false is a bool
             tokens = count_tokens(text)
         finish = choice.get("finish_reason")
-        if not isinstance(finish, str) or not finish:
-            finish = FINISH_STOP  # the server gave none; other values are kept as sent
+        if not isinstance(finish, str) or not finish or find_surrogate(finish):
+            finish = FINISH_STOP  # none the record can hold; other values are kept as sent
         return GenerationResult(text=text, token_count=tokens, finish_reason=finish)

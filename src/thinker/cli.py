@@ -23,7 +23,7 @@ from .config import (
     config_hash,
     load_config,
 )
-from .dataset import Dataset, QAItem, load_dataset, sample_batch, write_dataset
+from .dataset import Dataset, QAItem, find_surrogate, load_dataset, sample_batch, write_dataset
 from .errors import BackendError, ConfigError, DatasetError, ThinkerError
 from .evaluation import EVAL_MODES, evaluate
 from .grading import answers_equal, extract_boxed
@@ -175,8 +175,9 @@ def _cmd_grade(args, cfg: EngineConfig) -> int:
             response, answer = record[response_field], record[answer_field]
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise DatasetError(f"stdin line {line_no}: bad record ({exc})") from exc
-        if not (isinstance(response, str) and isinstance(answer, str)):
-            raise DatasetError(f"stdin line {line_no}: {response_field}/{answer_field} must be strings")
+        if not (isinstance(response, str) and isinstance(answer, str)) or find_surrogate(response + answer):
+            raise DatasetError(f"stdin line {line_no}: {response_field}/{answer_field} "
+                               "must be strings UTF-8 can encode")
         boxed = extract_boxed(response)
         out = {
             "extracted": boxed.raw if boxed else None,

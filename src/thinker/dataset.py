@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 
 from .errors import DatasetError
+
+# a lone surrogate ("\ud800"): a JSON \u escape or a non-UTF-8 argv can make one; UTF-8 cannot
+find_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 @dataclass(frozen=True)
@@ -24,12 +28,11 @@ class QAItem:
     answer: str
 
     def __post_init__(self) -> None:
-        if not self.id:
-            raise DatasetError("item id must be nonempty")
-        if not self.question:
-            raise DatasetError(f"item {self.id!r}: question must be nonempty")
-        if not self.answer:
-            raise DatasetError(f"item {self.id!r}: answer must be nonempty")
+        for name in ("id", "question", "answer"):
+            if not getattr(self, name):
+                raise DatasetError(f"item {self.id!r}: {name} must be nonempty")
+            if find_surrogate(getattr(self, name)):
+                raise DatasetError(f"item {self.id!r}: {name} holds text UTF-8 cannot encode")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -29,7 +30,7 @@ from thinker.backend import (
 from thinker.dataset import QAItem
 from thinker.errors import BackendError, LogprobUnsupportedError
 from thinker.grading import extract_boxed, extract_verdict, Verdict
-from thinker.rollout import run_batch
+from thinker.rollout import run_batch, run_episode, write_transcripts
 from thinker.task import Mode, Stage, StageBudgets
 
 from mock_backend import MockBackend, MockFixtureError
@@ -610,6 +611,33 @@ class TestHttpBackend:
             backend = HttpBackend(self.settings(stub.base_url))
             with pytest.raises(BackendError, match="completion content is not a string"):
                 backend.generate(request())
+
+    @pytest.mark.parametrize("content", [
+        b"so \\ud800 \\\\boxed{4}",  # a JSON escape of a lone surrogate
+        b"so \xed\xa0\x80 \\\\boxed{4}",  # its UTF-8-style bytes, which json.loads lets through
+    ])
+    def test_lone_surrogate_content_fails_the_episode(self, content, tmp_path):
+        raw = b'{"choices": [{"message": {"role": "assistant", "content": "' + content + b'"}}]}'
+        with StubServer(lambda payload, i: raw) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            with pytest.raises(BackendError, match="completion content is not a string") as info:
+                backend.generate(request())
+            assert "boxed" not in str(info.value)  # the text is not echoed
+            item = QAItem(id="a", question="Compute 2 + 2.", answer="4")
+            transcript = run_episode(backend, item, Mode.INFERENCE)
+            backend.close()
+        assert transcript.failed and not transcript.turns
+        path = tmp_path / "t.jsonl"
+        write_transcripts(str(path), [transcript], "hash")  # the record can be written
+        assert json.loads(path.read_text(encoding="utf-8"))["failed"] is True
+
+    def test_lone_surrogate_finish_reason_reads_as_stop(self):
+        raw = (b'{"choices": [{"message": {"role": "assistant", "content": "\\\\boxed{4}"}, '
+               b'"finish_reason": "length\\udfff"}]}')
+        with StubServer(lambda payload, i: raw) as stub:
+            backend = HttpBackend(self.settings(stub.base_url))
+            assert backend.generate(request()).finish_reason == FINISH_STOP
+            backend.close()
 
     def test_invalid_json_raises(self):
         with StubServer(lambda payload, i: b"not json") as stub:

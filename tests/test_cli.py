@@ -79,6 +79,17 @@ class TestEpisode:
         assert record["config_hash"]
         assert record["stages"][0]["reward"] == 1.0
 
+    @pytest.mark.parametrize("flag", ["--question", "--answer"])
+    def test_lone_surrogate_argument_is_data_error(self, flag, capsys, monkeypatch):
+        # what os.fsdecode makes of an argument holding the byte 0xff, which is not UTF-8
+        argv = {"--question": "Compute 2 + 2.", "--answer": "4"}
+        argv[flag] += "\udcff"
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: pytest.fail("backend built"))
+        assert run_cli("episode", "--json", *[x for pair in argv.items() for x in pair]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"data error: item 'cli': {flag[2:]} holds text UTF-8 cannot encode" in captured.err
+
     def test_json_carries_returns(self, capsys):
         assert run_cli(*_EPISODE_ARGS, "--mode", "training", "--seed", "5", "--json") == 0
         record = json.loads(capsys.readouterr().out)
@@ -214,6 +225,17 @@ class TestGrade:
         assert "stdin line 1: response/answer must be strings" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("record", [
+        '{"response": "so \\\\boxed{1\\ud800}", "answer": "0.5"}',
+        '{"response": "so \\\\boxed{1}", "answer": "0.5\\udfff"}',
+    ])
+    def test_lone_surrogate_is_bad_record(self, record, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(record + "\n"))
+        assert run_cli("grade") == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error: stdin line 1: response/answer must be strings UTF-8 can encode" in captured.err
+
 class TestRollout:
     def test_writes_transcripts_with_returns(self, tmp_path, capsys):
         data = tmp_path / "d.jsonl"
@@ -251,6 +273,15 @@ class TestRollout:
         assert run_cli("rollout", "--dataset", str(data), "--out", str(tmp_path / "t.jsonl")) == 5
         assert f"data error: cannot read dataset {str(data)!r}" in capsys.readouterr().err
 
+
+    def test_lone_surrogate_in_dataset_is_data_error(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "d.jsonl"
+        data.write_text('{"id": "a", "question": "Compute 2 + 2 \\ud800.", "answer": "4"}\n')
+        out = tmp_path / "t.jsonl"
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: pytest.fail("backend built"))
+        assert run_cli("rollout", "--dataset", str(data), "--out", str(out)) == 5
+        assert "data error: item 'a': question holds text UTF-8 cannot encode" in capsys.readouterr().err
+        assert not out.exists()
 
 class TestEval:
     def test_report_file_with_pass_rate(self, tmp_path, capsys):

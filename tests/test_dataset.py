@@ -167,6 +167,23 @@ def test_item_invariants():
         QAItem(id="x", question="q", answer="")
 
 
+@pytest.mark.parametrize("field", ["id", "question", "answer"])
+@pytest.mark.parametrize("surrogate", ["\ud800", "\udcff"])  # a JSON \u escape; a non-UTF-8 argv byte
+def test_lone_surrogate_rejected(field, surrogate):
+    fields = {"id": "a", "question": "Compute 2 + 2.", "answer": "4"}
+    fields[field] += surrogate
+    message = f"item {fields['id']!r}: {field} holds text UTF-8 cannot encode"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        QAItem(**fields)
+
+
+def test_lone_surrogate_escape_in_file_rejected(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text('{"id": "a", "question": "Compute 2 + 2 \\ud800.", "answer": "4"}\n', encoding="ascii")
+    with pytest.raises(DatasetError, match="item 'a': question holds text UTF-8 cannot encode"):
+        load_dataset(str(path))
+
+
 def test_repeated_id_rejected_in_dataset():
     item = QAItem(id="x", question="q", answer="1")
     with pytest.raises(DatasetError, match="duplicate item id 'x'"):

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 import threading
 import tracemalloc
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thinker import evaluation
+from thinker import evaluation, rollout
 from thinker.backend import PolicyParams, ScriptedPolicyBackend, count_tokens, wrong_answer
 from thinker.cli import write_transcripts
 from thinker.dataset import Dataset, QAItem
@@ -17,13 +19,16 @@ from thinker.errors import BackendError
 from thinker.grading import ExtractedAnswer
 from thinker.rewards import RewardConfig, TrailingAccuracy, TrailingConfig, update_trailing
 from thinker.rollout import (
+    ESCAPE_CACHE_SIZE,
     Trajectory,
     compute_gae,
     compute_stage_returns,
+    dump_record,
     per_token_rewards,
     run_batch,
     run_episode,
     stage_request,
+    transcript_record,
 )
 from thinker.sim import SyntheticTaskConfig, gen_synthetic
 from thinker.task import FAST, RESPONSE_SEED, SLOW, Mode, Stage, StageBudgets, Transcript, Turn, render_prompt
@@ -560,3 +565,72 @@ class TestCrossStageIsolation:
         for end, reward in zip(traj.boundaries, traj.stage_rewards):
             assert all(r == reward for r in returns[start:end])
             start = end
+
+
+# every kind of JSON string the encoder must escape: quotes, backslashes,
+# control characters, non-ASCII and astral characters
+_json_strings = st.builds(str.__add__, st.text(alphabet=st.sampled_from(
+    ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]), max_size=6),
+    st.text(max_size=6))
+_json_scalars = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.floats(),  # NaN and the infinities included
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+    _json_strings,
+    # equal strings held as distinct objects: the second is built anew
+    _json_strings.map(lambda s: [s, "".join(list(s))]),
+)
+_json_records = st.dictionaries(_json_strings, st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=12), max_size=5)
+
+
+def _strings(value):
+    """Every string in a JSON-like value, dict keys included."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+class TestDumpRecord:
+    """dump_record writes json.dumps(record, sort_keys=True, ensure_ascii=False)
+    byte for byte, escaping each string through a bounded memo."""
+
+    @given(_json_records)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, record):
+        assert dump_record(record) == json.dumps(record, sort_keys=True, ensure_ascii=False)
+
+    def test_without_the_accelerator_is_json_dumps(self, monkeypatch):
+        record = {"b": ["\u00e9", 2 ** 70, -0.0, math.nan], "a": {"q": '"\\\n', "n": None}}
+        expected = json.dumps(record, sort_keys=True, ensure_ascii=False)
+        monkeypatch.setattr(rollout, "_encode", None)
+        assert dump_record(record) == expected
+
+    def test_memo_stays_at_its_bound(self):
+        rollout._escape.cache_clear()
+        record = {f"key {i}": f"value {i}" for i in range(ESCAPE_CACHE_SIZE)}
+        dump_record(record)  # twice as many distinct strings as entries
+        assert rollout._escape.cache_info().currsize == ESCAPE_CACHE_SIZE
+
+    def test_training_batch_escapes_each_string_once(self, tmp_path):
+        batch = run_batch(ScriptedPolicyBackend(), make_items(4), Mode.TRAINING, seed=3,
+                          samples_per_prompt=8)
+        records = [transcript_record(t, "hash") for t in batch.transcripts]
+        distinct = {s for record in records for s in _strings(record)}
+        rollout._escape.cache_clear()
+        path = tmp_path / "t.jsonl"
+        write_transcripts(str(path), batch.transcripts, "hash")
+        info = rollout._escape.cache_info()
+        assert info.misses <= len(distinct) + len(records)
+        assert info.hits > info.misses
+        assert path.read_text(encoding="utf-8").splitlines() == [
+            json.dumps(record, sort_keys=True, ensure_ascii=False) for record in records]
