@@ -18,8 +18,8 @@ import hashlib
 import json
 import math
 import os
-import random
 import time
+from _random import Random  # random.Random's C base: the same draws, minus two Python frames
 from collections import deque
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlsplit
@@ -210,10 +210,11 @@ class ScriptedPolicyBackend(Backend):
     generate reads the stage, the reference answer, the seed (None reads as
     0), the budget and the dialogue from the request. A request without a
     reference answer raises BackendError; one without a stage is answered
-    as fast thinking. Every stage but the summary draws once from
-    random.Random(seed), against the PolicyParams chances. Only verification
-    grades the fast answer: the boxed answer of the first assistant message,
-    wrong when the dialogue holds one message. The summary restates the
+    as fast thinking. Every stage but the summary draws once against the
+    PolicyParams chances; the draw equals random.Random(seed).random(),
+    computed through its C base type. Only verification grades the fast
+    answer: the boxed answer of the first assistant message, wrong when
+    the dialogue holds one message. The summary restates the
     boxed answer of messages[-2], the slow response, or the reference when
     that message has no box. A response is filler ending in a boxed answer,
     at its stage's length, clipped to max_tokens.
@@ -236,7 +237,7 @@ class ScriptedPolicyBackend(Backend):
             answer = boxed.raw if boxed else truth
             tail = f"The final answer is \\boxed{{{answer}}}."
             return _padded(_FILLER, params.summary_tokens, tail, request.max_tokens)
-        draw = random.Random(request.seed or 0).random()
+        draw = Random(request.seed or 0).random()
         if stage is None or stage is FAST:
             answer = truth if draw < params.p_fast else wrong_answer(truth)
             tail = f"The final answer is \\boxed{{{answer}}}."

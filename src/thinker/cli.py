@@ -48,6 +48,7 @@ EXIT_IO = 5
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer its reader left
 
 MAX_SWEEP_VALUES = 10_000  # each value is a whole monte_carlo run
+GAP_SE = 4  # simulate flags a Monte Carlo estimate further than this from its closed form
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +310,36 @@ def _cmd_simulate(args, cfg: EngineConfig) -> int:
             for row in rows:
                 fh.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
         print(f"swept {name} over {len(values)} values; wrote {args.out}")
+        for row in rows:
+            _report_gaps(f"{name}={row[name]}: ", row["episodes"], [
+                (key, row[f"analytic_{key}"], row[f"mc_{key}"], row[f"mc_{key}_se"])
+                for key in ("accuracy", "tokens")])
         return EXIT_OK
     accuracy, tokens = monte_carlo(params, args.episodes, args.seed, budgets=cfg.budgets)
+    analytic_acc = analytic_accuracy(params)
+    analytic_tok = analytic_expected_tokens(params, cfg.budgets)
     print(f"config={cfg_hash} episodes={accuracy.n}")
-    print(f"accuracy: analytic={analytic_accuracy(params):.6f}  "
+    print(f"accuracy: analytic={analytic_acc:.6f}  "
           f"monte-carlo={accuracy.value:.6f} (se {accuracy.stderr:.6f})")
-    print(f"tokens:   analytic={analytic_expected_tokens(params, cfg.budgets):.2f}  "
+    print(f"tokens:   analytic={analytic_tok:.2f}  "
           f"monte-carlo={tokens.value:.2f} (se {tokens.stderr:.2f})")
+    _report_gaps("", accuracy.n, [("accuracy", analytic_acc, accuracy.value, accuracy.stderr),
+                                  ("tokens", analytic_tok, tokens.value, tokens.stderr)])
     return EXIT_OK
+
+
+def _report_gaps(prefix: str, episodes: int, estimates) -> None:
+    """One stderr line per (name, analytic, monte-carlo, se) estimate whose
+    Monte Carlo value lies more than GAP_SE standard errors from its
+    analytic value; a zero standard error flags any gap. A single episode
+    has no standard error, so it flags nothing. The exit code stays 0."""
+    if episodes < 2:
+        return
+    for name, analytic, value, se in estimates:
+        if abs(value - analytic) > GAP_SE * se:
+            print(f"{prefix}{name}: monte-carlo {value:.6g} is {abs(value - analytic):.6g} from "
+                  f"analytic {analytic:.6g}, more than {GAP_SE} se (se {se:.6g}, {episodes} episodes)",
+                  file=sys.stderr)
 
 
 def _format_cell(value) -> str:

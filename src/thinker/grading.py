@@ -193,9 +193,9 @@ def answers_equal(a: "ExtractedAnswer | str | None", b: "ExtractedAnswer | str |
     left, right = _coerce(a), _coerce(b)
     if left is None or right is None:
         return False
-    if left.numeric is not None and right.numeric is not None:
-        return left.numeric == right.numeric
-    return left.canonical == right.canonical
+    if left.canonical == right.canonical:  # one canonical form parses to one value
+        return True
+    return left.numeric is not None and left.numeric == right.numeric  # a Fraction != None
 
 
 def extract_verdict(text: str) -> Verdict:

@@ -133,7 +133,7 @@ class StageBudgets:
 
 
 
-@dataclass
+@dataclass(slots=True)
 class Turn:
     """One prompt/response exchange; stage is None for a one-shot baseline.
     text is what the backend generated, and token_count counts it."""
@@ -158,7 +158,7 @@ class Turn:
         return self.finish_reason == "length"
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRewards:
     """Per-stage scalar rewards; a field is present iff its stage executed."""
 
@@ -172,7 +172,7 @@ class StageRewards:
         return getattr(self, name) if name is not None else None
 
 
-@dataclass
+@dataclass(slots=True)
 class Transcript:
     """One episode: its dialogue and routing state, then its rewards.
 

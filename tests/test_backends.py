@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import sys
@@ -437,6 +438,16 @@ class TestScriptedPolicy:
             hits += extract_boxed(text).raw == "7"
         sigma = (p * (1 - p) / n) ** 0.5
         assert abs(hits / n - p) < 3 * sigma
+
+    @given(seed=st.none() | st.integers(-(2 ** 80), 2 ** 80)
+           | st.sampled_from([0, -1, 2 ** 64, 2 ** 64 + 1, -(2 ** 64) - 1]))
+    def test_draw_is_the_public_random_draw(self, seed):
+        # the C base type must draw exactly random.Random(seed).random(), None reading as 0
+        draw = random.Random(seed or 0).random()
+        for p_fast in (0.0, math.nextafter(draw, 0.0), draw, math.nextafter(draw, 1.0), 1.0):
+            text = ScriptedPolicyBackend(PolicyParams(p_fast=p_fast)).generate(
+                policy_request(Stage.FAST_THINKING, seed=seed)).text
+            assert (extract_boxed(text).raw == "7") == (draw < p_fast)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -512,6 +512,35 @@ class TestSimulate:
         assert "analytic_accuracy" in header and "mc_tokens_se" in header
         assert len(lines) == 2 + 3  # comment + header + three sweep points
 
+    # a fast response longer than its stage budget loses its box, which the closed forms ignore
+    _LONG_FAST = ("--set", "backend.policy.fast_tokens=1500")
+
+    def test_gap_beyond_four_se_is_flagged_on_stderr(self, capsys):
+        argv = ("simulate", "--episodes", "400", "--seed", "3")
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().err == ""
+        assert run_cli(*self._LONG_FAST, *argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1:] == [
+            "accuracy: analytic=0.650000  monte-carlo=0.402500 (se 0.024551)",
+            "tokens:   analytic=1280.00  monte-carlo=1388.00 (se 8.43)"]
+        accuracy, tokens = captured.err.splitlines()
+        assert accuracy.startswith("accuracy: monte-carlo 0.4025 is 0.2475 from analytic 0.65,")
+        assert tokens.startswith("tokens: monte-carlo 1388 is 108 from analytic 1280,")
+        # one episode has no standard error, so its gap is not flagged
+        assert run_cli(*self._LONG_FAST, "simulate", "--episodes", "1") == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_flags_each_row_apart(self, tmp_path, capsys):
+        out = tmp_path / "sweep.tsv"
+        code = run_cli("simulate", "--episodes", "400", "--seed", "3",
+                       "--sweep", "fast_tokens=120:1500:1380", "--out", str(out))
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == f"swept fast_tokens over 2 values; wrote {out}\n"
+        assert [line.split(": monte-carlo")[0] for line in captured.err.splitlines()] == \
+            ["fast_tokens=1500: accuracy", "fast_tokens=1500: tokens"]
+
     @pytest.mark.parametrize("spec", ["p_fast=0..1", "p_fast=1:0:0.1", "p_fast=0:1:nan",
                                       "p_fast=0:inf:1", "p_fast=0:1:0"])
     def test_bad_sweep_spec_is_config_error(self, spec, tmp_path, capsys, monkeypatch):

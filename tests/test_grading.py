@@ -26,6 +26,19 @@ LATEX = st.lists(st.sampled_from([
 ]), max_size=14).map("".join)
 
 
+_SMALL = st.integers(-6, 6)
+# spellings of a few small values, so that equal answers are drawn often
+SPELLINGS = st.one_of(
+    _SMALL.map(str),
+    st.tuples(_SMALL, st.integers(0, 9)).map(lambda t: f"{t[0]}.{t[1]}"),
+    st.tuples(_SMALL, _SMALL).map(lambda t: f"{t[0]}/{t[1]}"),  # zero denominators too
+    st.tuples(_SMALL, _SMALL).map(lambda t: f"\\frac{{{t[0]}}}{{{t[1]}}}"),
+    st.tuples(_SMALL, _SMALL).map(lambda t: f" ${t[0]} /  {t[1]}$. "),
+    st.sampled_from(["x", "X", "\\text{x}", " x. ", "(1, 2)", "(1,2)", "1,000", "Yes", "\\sqrt{2}"]),
+    st.text(alphabet="0123456789/.-xX ", max_size=6),
+)
+
+
 def _extract_boxed_finditer(text):
     """extract_boxed as it was before it scanned from the end: list every
     box start with re.finditer, then try them last first."""
@@ -245,6 +258,21 @@ class TestAnswersEqual:
     @settings(max_examples=200)
     def test_symmetric(self, a, b):
         assert answers_equal(a, b) == answers_equal(b, a)
+
+    @given(st.data())
+    @settings(max_examples=500)
+    def test_follows_documented_rule(self, data):
+        a = data.draw(SPELLINGS)
+        # another spelling, or a near variant of a, so that close pairs come up often
+        b = data.draw(SPELLINGS | st.sampled_from([a.upper(), f" ${a}$. ", a + "0", "-" + a]))
+        canonical_a, canonical_b = normalize(a), normalize(b)
+        value_a, value_b = parse_numeric(canonical_a), parse_numeric(canonical_b)
+        if value_a is not None and value_b is not None:
+            expected = value_a == value_b
+        else:
+            expected = canonical_a == canonical_b
+        assert answers_equal(a, b) == answers_equal(b, a) == expected
+        assert answers_equal(a, a) and answers_equal(b, b)
 
     @given(st.integers(-100, 100), st.integers(1, 40), st.integers(-100, 100), st.integers(1, 40))
     @settings(max_examples=200)

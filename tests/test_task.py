@@ -281,6 +281,18 @@ class TestTurnKey:
         assert Turn(None, "r", 1, "stop").key == "single_turn"
 
 
+@pytest.mark.parametrize("make", [
+    lambda item: begin_episode(item, Mode.INFERENCE),
+    lambda item: Turn(Stage.FAST_THINKING, "r", 1, "stop"),
+    lambda item: StageRewards(),
+], ids=["Transcript", "Turn", "StageRewards"])
+def test_episode_records_reject_unknown_fields(item, make):
+    # slotted records: a misspelled field raises instead of adding a new one
+    record = make(item)
+    with pytest.raises(AttributeError):
+        record.reward = 1.0
+
+
 # each member's key and its field on StageBudgets and on StageRewards
 _STAGE_FIELDS = {
     Stage.FAST_THINKING: ("fast_thinking", "fast_tokens", "fast"),
