@@ -30,14 +30,7 @@ from .grading import answers_equal, extract_boxed
 from .rewards import TrailingAccuracy
 from .rollout import (RolloutBatch, dump_record, render_transcript, run_batch, run_episode,
                       transcript_record, write_transcripts)
-from .sim import (
-    SyntheticTaskConfig,
-    analytic_accuracy,
-    analytic_expected_tokens,
-    gen_synthetic,
-    monte_carlo,
-    sweep,
-)
+from .sim import SyntheticTaskConfig, compare, gen_synthetic, sweep
 from .task import Mode
 
 EXIT_OK = 0
@@ -260,7 +253,6 @@ def _cmd_eval(args, cfg: EngineConfig) -> int:
                 seed=args.seed,
                 vocab=cfg.eval.reflection_vocab(),
                 parallelism=cfg.rollout.parallelism,
-                single_turn_tokens=cfg.eval.single_turn_tokens,
             )
             payload = report.to_dict()
             payload["config_hash"] = config_hash(cfg)
@@ -311,31 +303,28 @@ def _cmd_simulate(args, cfg: EngineConfig) -> int:
                 fh.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
         print(f"swept {name} over {len(values)} values; wrote {args.out}")
         for row in rows:
-            _report_gaps(f"{name}={row[name]}: ", row["episodes"], [
-                (key, row[f"analytic_{key}"], row[f"mc_{key}"], row[f"mc_{key}_se"])
-                for key in ("accuracy", "tokens")])
+            _report_gaps(f"{name}={row[name]}: ", row)
         return EXIT_OK
-    accuracy, tokens = monte_carlo(params, args.episodes, args.seed, budgets=cfg.budgets)
-    analytic_acc = analytic_accuracy(params)
-    analytic_tok = analytic_expected_tokens(params, cfg.budgets)
-    print(f"config={cfg_hash} episodes={accuracy.n}")
-    print(f"accuracy: analytic={analytic_acc:.6f}  "
-          f"monte-carlo={accuracy.value:.6f} (se {accuracy.stderr:.6f})")
-    print(f"tokens:   analytic={analytic_tok:.2f}  "
-          f"monte-carlo={tokens.value:.2f} (se {tokens.stderr:.2f})")
-    _report_gaps("", accuracy.n, [("accuracy", analytic_acc, accuracy.value, accuracy.stderr),
-                                  ("tokens", analytic_tok, tokens.value, tokens.stderr)])
+    row = compare(params, args.episodes, args.seed, budgets=cfg.budgets)
+    print(f"config={cfg_hash} episodes={row['episodes']}")
+    print(f"accuracy: analytic={row['analytic_accuracy']:.6f}  "
+          f"monte-carlo={row['mc_accuracy']:.6f} (se {row['mc_accuracy_se']:.6f})")
+    print(f"tokens:   analytic={row['analytic_tokens']:.2f}  "
+          f"monte-carlo={row['mc_tokens']:.2f} (se {row['mc_tokens_se']:.2f})")
+    _report_gaps("", row)
     return EXIT_OK
 
 
-def _report_gaps(prefix: str, episodes: int, estimates) -> None:
-    """One stderr line per (name, analytic, monte-carlo, se) estimate whose
-    Monte Carlo value lies more than GAP_SE standard errors from its
+def _report_gaps(prefix: str, row: dict) -> None:
+    """One stderr line per estimate in a compare row, accuracy or tokens,
+    whose Monte Carlo value lies more than GAP_SE standard errors from its
     analytic value; a zero standard error flags any gap. A single episode
     has no standard error, so it flags nothing. The exit code stays 0."""
+    episodes = row["episodes"]
     if episodes < 2:
         return
-    for name, analytic, value, se in estimates:
+    for name in ("accuracy", "tokens"):
+        analytic, value, se = row[f"analytic_{name}"], row[f"mc_{name}"], row[f"mc_{name}_se"]
         if abs(value - analytic) > GAP_SE * se:
             print(f"{prefix}{name}: monte-carlo {value:.6g} is {abs(value - analytic):.6g} from "
                   f"analytic {analytic:.6g}, more than {GAP_SE} se (se {se:.6g}, {episodes} episodes)",

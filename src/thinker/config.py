@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .backend import Backend, BackendConfig, HttpBackend, ScriptedPolicyBackend
 from .errors import ConfigError
-from .evaluation import EVAL_MODES, SINGLE_TURN_TOKENS, ReflectionVocab
+from .evaluation import EVAL_MODES, ReflectionVocab
 from .rewards import RewardConfig
 from .task import StageBudgets
 
@@ -39,7 +39,6 @@ class EvalConfig:
     k: int = 16
     vocab: tuple[str, ...] = ReflectionVocab.terms
     modes: tuple[str, ...] = ("thinker",)
-    single_turn_tokens: int = SINGLE_TURN_TOKENS
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vocab", ReflectionVocab(terms=self.vocab).terms)  # checks each term
@@ -54,8 +53,6 @@ class EvalConfig:
         for mode in self.modes:
             if mode not in EVAL_MODES:
                 raise ValueError(f"eval.modes entry {mode!r} not one of {EVAL_MODES}")
-        if self.single_turn_tokens < 1:
-            raise ValueError("eval.single_turn_tokens must be >= 1")
 
     def reflection_vocab(self) -> ReflectionVocab:
         return ReflectionVocab(terms=self.vocab)

@@ -28,7 +28,6 @@ from .task import (FAST, INFERENCE, SINGLE_TURN, StageBudgets, Transcript, advan
 THINKER = "thinker"
 THINKER_FAST = "thinker_fast"
 EVAL_MODES = (THINKER, THINKER_FAST, SINGLE_TURN)
-SINGLE_TURN_TOKENS = 8000  # the one-shot baseline's token budget
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class BenchmarkReport:
         return "\n".join(lines)
 
 
-def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_tokens) -> Transcript:
+def _sample(backend, item, episode_seed, mode, budgets, reward_cfg) -> Transcript:
     """One graded sample. A backend failure marks it failed, as in run_episode."""
     if mode == THINKER:
         return run_episode(backend, item, INFERENCE, budgets,
@@ -123,7 +122,7 @@ def _sample(backend, item, episode_seed, mode, budgets, reward_cfg, single_turn_
     stage = FAST if mode == THINKER_FAST else None
     transcript = begin_episode(item, INFERENCE, budgets, stage, seed=episode_seed, backend_id=backend.name)
     try:
-        result = backend.generate(stage_request(transcript, single_turn_tokens))
+        result = backend.generate(stage_request(transcript))
     except BackendError as exc:
         record_failure(transcript, exc)
         return transcript
@@ -137,8 +136,7 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
              budgets: StageBudgets | None = None, seed: int = 0, *,
              reward_cfg: RewardConfig | None = None,
              vocab: ReflectionVocab = _DEFAULT_VOCAB,
-             parallelism: int = 1,
-             single_turn_tokens: int = SINGLE_TURN_TOKENS) -> BenchmarkReport:
+             parallelism: int = 1) -> BenchmarkReport:
     """Measure pass@1 accuracy over k samples per question.
 
     Questions whose samples all fail are excluded from accuracy and listed
@@ -154,8 +152,8 @@ def evaluate(backend: Backend, dataset: Dataset, mode: str, k: int,
         raise ValueError("cannot evaluate an empty dataset")
 
     specs = [(item, derive_seed(seed, item.id, j)) for item in dataset for j in range(k)]
-    samples = run_all(backend, lambda spec: _sample(
-        backend, *spec, mode, budgets, reward_cfg, single_turn_tokens), specs, parallelism)
+    samples = run_all(backend, lambda spec: _sample(backend, *spec, mode, budgets, reward_cfg),
+                      specs, parallelism)
 
     per_question, p_hats, excluded, usable = [], [], [], []
     for i, item in enumerate(dataset):  # specs are item-major: k samples per question

@@ -45,17 +45,16 @@ _DEFAULT_REWARDS = RewardConfig()  # frozen, so every call without a config shar
 TRANSCRIPT_SCHEMA_VERSION = 1  # of the JSONL record transcript_record writes
 
 
-def stage_request(state: Transcript, single_turn_tokens: int | None = None) -> GenerationRequest:
-    """The request for the episode's current turn: whole dialogue, the turn's
-    budget and temperature, and a seed derived from the episode's seed and the
-    turn's key; the one-shot turn (stage None) has the budget *single_turn_tokens*."""
+def stage_request(state: Transcript) -> GenerationRequest:
+    """The request for the episode's current turn, the one-shot turn (stage
+    None) included: whole dialogue, the turn's budget and temperature, and a
+    seed derived from the episode's seed and the turn's key."""
     stage, budgets = state.stage, state.budgets
-    staged = stage is not None
     return GenerationRequest(
         messages=tuple(state.messages()),
-        max_tokens=budgets.budget_for(stage) if staged else single_turn_tokens,
+        max_tokens=budgets.budget_for(stage),
         temperature=budgets.temperature_for(stage),
-        seed=derive_seed(state.seed, stage.key if staged else SINGLE_TURN),
+        seed=derive_seed(state.seed, stage.key if stage is not None else SINGLE_TURN),
         stage=stage,
         item_id=state.item.id,
         reference_answer=state.item.answer,

@@ -95,7 +95,9 @@ def analytic_accuracy(params: PolicyParams) -> float:
 
     Correct answers survive when accepted at verification; every rejection
     (of a right or wrong answer) routes to slow thinking, whose success rate
-    then decides.
+    then decides. Like analytic_expected_tokens, it assumes every response
+    fits its stage budget; the engine clips one that does not, and its boxed
+    answer is lost (README "Caveats", ROADMAP item 17).
     """
     accepted_correct = params.p_fast * params.t_p
     rejected_correct = params.p_fast * (1.0 - params.t_p) * params.p_slow
@@ -112,7 +114,9 @@ def analytic_expected_tokens(params: PolicyParams, budgets: StageBudgets | None 
     """Expected inference tokens: fast + verify always, slow when rejected.
 
     Stage lengths are the policy's own response lengths, clamped to the
-    stage budgets, matching truncation in the engine.
+    stage budgets as the engine clips them. The routing is not: the
+    rejection rate is that of responses that all fit their budgets, as in
+    analytic_accuracy (README "Caveats", ROADMAP item 17).
     """
     budgets = budgets or StageBudgets()
     fast = min(params.fast_tokens, budgets.fast_tokens)
@@ -157,14 +161,28 @@ def monte_carlo(params: PolicyParams, n_episodes: int, seed: int,
     return _estimate(correct), _estimate(tokens)
 
 
+def compare(params: PolicyParams, n_episodes: int, seed: int,
+            budgets: StageBudgets | None = None) -> dict:
+    """The closed forms beside their Monte Carlo estimates for one policy:
+    one row, keyed as simulate's sweep columns."""
+    acc, tok = monte_carlo(params, n_episodes, seed, budgets=budgets)
+    return {
+        "analytic_accuracy": analytic_accuracy(params),
+        "mc_accuracy": acc.value,
+        "mc_accuracy_se": acc.stderr,
+        "analytic_tokens": analytic_expected_tokens(params, budgets),
+        "mc_tokens": tok.value,
+        "mc_tokens_se": tok.stderr,
+        "episodes": acc.n,
+    }
+
+
 def sweep(param_name: str, values: list[float], base: PolicyParams,
           n_episodes: int, seed: int,
           budgets: StageBudgets | None = None) -> list[dict]:
-    """Analytic and Monte Carlo estimates along one parameter axis.
-
-    Returns one row per value with both predictions and both estimates,
-    ready for columnar output. Every value is checked before the first
-    estimate runs; integer parameters take whole numbers only.
+    """One compare row per value along one parameter axis, led by the
+    value, ready for columnar output. Every value is checked before the
+    first estimate runs; integer parameters take whole numbers only.
     """
     if param_name not in {f.name for f in fields(PolicyParams)}:
         raise ValueError(f"unknown policy parameter {param_name!r}")
@@ -173,17 +191,5 @@ def sweep(param_name: str, values: list[float], base: PolicyParams,
             raise ValueError(f"{param_name} takes whole numbers only")
         values = [int(value) for value in values]
     settings = [PolicyParams(**{**asdict(base), param_name: value}) for value in values]
-    rows = []
-    for value, params in zip(values, settings):
-        acc, tok = monte_carlo(params, n_episodes, seed, budgets=budgets)
-        rows.append({
-            param_name: value,
-            "analytic_accuracy": analytic_accuracy(params),
-            "mc_accuracy": acc.value,
-            "mc_accuracy_se": acc.stderr,
-            "analytic_tokens": analytic_expected_tokens(params, budgets),
-            "mc_tokens": tok.value,
-            "mc_tokens_se": tok.stderr,
-            "episodes": acc.n,
-        })
-    return rows
+    return [{param_name: value, **compare(params, n_episodes, seed, budgets)}
+            for value, params in zip(values, settings)]

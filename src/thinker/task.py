@@ -107,17 +107,19 @@ def _render(stage: Stage | None, question: str) -> str:
 
 @dataclass(frozen=True)
 class StageBudgets:
-    """Per-stage generation limits and sampling temperatures."""
+    """Per-stage generation limits and sampling temperatures; the one-shot
+    baseline's turn (stage None) has a limit of its own."""
 
     fast_tokens: int = 1000
     verify_tokens: int = 2000
     slow_tokens: int = 6000
     summary_tokens: int = 1000
+    single_turn_tokens: int = 8000
     temperature: float = 1.0
     summary_temperature: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in _FIELD.values():
+        for name in (*_FIELD.values(), SINGLE_TURN):
             if getattr(self, f"{name}_tokens") <= 0:
                 raise ValueError(f"{name}_tokens must be positive")
         if not 0.0 <= self.temperature < math.inf:  # NaN included
@@ -125,10 +127,10 @@ class StageBudgets:
         if not 0.0 < self.summary_temperature <= 1.0:
             raise ValueError("summary_temperature must be in (0, 1]")
 
-    def budget_for(self, stage: Stage) -> int:
-        return getattr(self, _FIELD[stage] + "_tokens")
+    def budget_for(self, stage: Stage | None) -> int:
+        return getattr(self, _FIELD.get(stage, SINGLE_TURN) + "_tokens")
 
-    def temperature_for(self, stage: Stage) -> float:
+    def temperature_for(self, stage: Stage | None) -> float:
         return self.summary_temperature if stage is SUMMARY else self.temperature
 
 

@@ -15,7 +15,7 @@ import pytest
 from thinker import cli
 from thinker.cli import main
 from thinker.backend import Backend
-from thinker.config import EngineConfig, build_backend
+from thinker.config import EngineConfig, build_backend, config_hash, load_config
 from thinker.dataset import load_dataset
 from thinker.errors import ThinkerError
 
@@ -157,10 +157,10 @@ class TestEpisodeViewFence:
     print changed; a change to either view by one byte fails here."""
 
     @pytest.mark.parametrize("mode,seed,digest", [
-        ("training", 0, "e53735a47dd216f1ff0da589f8eff5cd94e1dcb5c68af36e8d24745d587b3ae5"),
-        ("training", 5, "9595a422ef3d6ddbbca6223bf81e3da53e6a4d86083a87618f1daf68379b9652"),
-        ("inference", 0, "2c81a941080c11c969f5e0b03bce7a1719f436cdcaa54a46065a61681e2deead"),
-        ("inference", 5, "cbd3879c2e0c1184e9412fadda3251be3b133cc06e82210f4f87db53d44aa1da"),
+        ("training", 0, "87a896fef5b7f11a3dba906221bb680bdc54053edba4b0df4368035802dbdd8a"),
+        ("training", 5, "9532c7c9d3943bf88d295465df559fafa913c6bf85f6b9214b1cfe75b67eb432"),
+        ("inference", 0, "e225e3b29ad2e6cc5448acfc8fee123cb1451fed618fb7f7e766f6c826f40da1"),
+        ("inference", 5, "cc2c9db8b8ba7eef0904aacd9f0018708b3498156485f992840168b36c617d14"),
     ])
     def test_text_bytes(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed)) == 0
@@ -172,11 +172,11 @@ class TestEpisodeViewFence:
         assert run_cli("episode", "--question", "Compute 2 + 2.", "--answer", "4") == 0
         out = capsys.readouterr().out
         assert out.endswith("final: stage=fast_thinking answer='' correct=False\n")
-        assert _sha(out) == "19a112b869a1a44bc58b112c2f226b7219507062eb2258a2df2c368b330d1006"
+        assert _sha(out) == "23855d61c41d7471c72811cbe90891e2c53af42b3d7f0077e62429d0115aba24"
 
     @pytest.mark.parametrize("mode,seed,digest", [
-        ("training", 5, "1bf880d84bff52c05ef0c5e10752f9ee9dde456d72c3b72428128f80ce404c73"),
-        ("inference", 0, "21e163e907841868b017337c0ee66c686094d24624343ce371031dd582227511"),
+        ("training", 5, "4321dd1262682a732a9b42b3b6bd5839f226cddfc26bbf9b6031a835cb4b8435"),
+        ("inference", 0, "97be3443d76f93f092c98d4466774005aca53b412f8fdeb98beb54416e5406cb"),
     ])
     def test_json_bytes_without_returns(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed), "--json") == 0
@@ -556,6 +556,49 @@ class TestSimulate:
                 cli._parse_sweep(spec)
 
 
+class TestSimulateFence:
+    """Digests of simulate's outputs, recorded before the point run and the
+    sweep rows shared one comparison row. The run's own config hash is
+    replaced by a placeholder first, so a moved or added config key leaves
+    them alone; a change to a printed estimate, a gap line or a sweep cell
+    by one byte fails here."""
+
+    @staticmethod
+    def unhashed(text: str, overrides: tuple[str, ...]) -> str:
+        cfg_hash = config_hash(load_config(None, list(overrides)))
+        assert cfg_hash in text
+        return text.replace(cfg_hash, "<config_hash>")
+
+    @pytest.mark.parametrize("overrides, out_digest, err_digest", [
+        ((), "abed2e050d912f14c9a0287ac81fe1906904343078639abce28479be146e9ae5",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # a fast response over its stage budget: both estimates are flagged
+        (("backend.policy.fast_tokens=1500",),
+         "e479d554e7640e65c7d2e9eb96cbaf2be3cc60adcf9451437e790cade0890230",
+         "180202ccee7f2ecff8d8277cf56a070c7d4af4ccdff9043b499ee37ffc343d3b"),
+    ], ids=["default", "long-fast"])
+    def test_point_run_bytes(self, overrides, out_digest, err_digest, capsys):
+        argv = [arg for override in overrides for arg in ("--set", override)]
+        assert run_cli(*argv, "simulate", "--episodes", "400", "--seed", "3") == 0
+        captured = capsys.readouterr()
+        assert _sha(self.unhashed(captured.out, overrides)) == out_digest
+        assert _sha(captured.err) == err_digest
+
+    @pytest.mark.parametrize("spec, seed, tsv_digest, err_digest", [
+        ("p_fast=0:1:0.25", "1", "f3522857168f8edbf3cdd2f0048739f506faeb5fe71bec25e1c14d4c76b9b53d",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        # fast_tokens 1040 and 1500 exceed the fast budget, so each of those rows flags both gaps
+        ("fast_tokens=120:1500:460", "3", "849086ac05356a37d3005073a09a667346238048431611e9f44c567162d5aa6b",
+         "fd4c2df8f8bb51a581f79127d324af7e4b9ac5373289d261228a1237ba170494"),
+    ], ids=["p_fast", "fast_tokens"])
+    def test_sweep_bytes(self, spec, seed, tsv_digest, err_digest, tmp_path, capsys):
+        out = tmp_path / "sweep.tsv"
+        assert run_cli("simulate", "--episodes", "200", "--seed", seed,
+                       "--sweep", spec, "--out", str(out)) == 0
+        assert _sha(self.unhashed(out.read_text(encoding="utf-8"), ())) == tsv_digest
+        assert _sha(capsys.readouterr().err) == err_digest
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--episodes", "10", "--p-fast", "1.5"],
@@ -752,7 +795,7 @@ class TestTopLevel:
     @pytest.mark.parametrize("overrides, message", [
         (["rollout.batch_size=0"], "rollout.batch_size must be >= 1"),
         (["eval.k=0"], "eval.k must be >= 1"),  # the --k flag refuses 0 before the config sees it
-        (["eval.single_turn_tokens=0"], "eval.single_turn_tokens must be >= 1"),
+        (["budgets.single_turn_tokens=0"], "budgets: single_turn_tokens must be positive"),
         (["rewards.logprob_per_token_mean=1"], "expected a boolean, got 1"),
         (["backend=3"], "backend: expected a mapping"),
         (["eval.k=3", "eval.k.x=1"], "cannot override 'eval.k.x': 'k' is not a section"),
@@ -767,6 +810,15 @@ class TestTopLevel:
         assert run_cli(*argv, "--print-config") == 3
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
+
+    # the one-shot turn's limit moved to budgets.single_turn_tokens; the old key is refused by name
+    @pytest.mark.parametrize("source", ["set", "file"])
+    def test_moved_single_turn_key_is_config_error(self, source, tmp_path, capsys):
+        cfg = tmp_path / "engine.yaml"
+        cfg.write_text("eval: {single_turn_tokens: 5}\n")
+        argv = ("--set", "eval.single_turn_tokens=5") if source == "set" else ("--config", str(cfg))
+        assert run_cli(*argv, "--print-config") == 3
+        assert "unknown config key 'eval.single_turn_tokens'" in capsys.readouterr().err
 
     def test_retired_key_in_file_is_config_error(self, tmp_path, capsys):
         # a --print-config file saved while the key existed holds it as null

@@ -58,7 +58,7 @@ class TestDefaults:
         assert cfg.rollout.samples_per_prompt == 32
         assert cfg.eval.k == 16
         assert cfg.eval.vocab == ("wait", "however", "alternatively")
-        assert cfg.eval.single_turn_tokens == 8000
+        assert cfg.budgets.single_turn_tokens == 8000
 
 
 class TestBuild:
@@ -257,7 +257,7 @@ class TestHash:
 
     def test_default_hash_pinned(self):
         # every output file of a default run embeds this value
-        assert config_hash(EngineConfig()) == "42906493996766aa"
+        assert config_hash(EngineConfig()) == "cd02f5650ae38221"
 
     def test_mode_spellings_hash_alike(self):
         hashes = {config_hash(config_from_dict({"eval": {"modes": [mode]}}))

@@ -161,7 +161,8 @@ class TestEvaluate:
     def test_single_turn_budget_and_prompt(self):
         items = make_dataset(1)
         backend = MockBackend({(None, "e0"): "direct \\boxed{1}"})
-        report = evaluate(backend, items, SINGLE_TURN, k=1, seed=0, single_turn_tokens=8000)
+        report = evaluate(backend, items, SINGLE_TURN, k=1,
+                          budgets=StageBudgets(single_turn_tokens=8000), seed=0)
         call = backend.calls[0]
         assert call.max_tokens == 8000
         assert call.stage is None
@@ -263,7 +264,7 @@ class TestSampleRecord:
     ])
     def test_each_mode_yields_a_transcript(self, mode, keys):
         t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
-                    RewardConfig(), 8000)
+                    RewardConfig())
         assert isinstance(t, Transcript)
         assert [turn.key for turn in t.turns] == keys
         assert t.correct is True and not t.failed
@@ -271,7 +272,7 @@ class TestSampleRecord:
     @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
     def test_each_mode_serializes(self, mode):
         t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
-                    RewardConfig(), 8000)
+                    RewardConfig())
         record = transcript_record(t, "cfg")
         assert [s["stage"] for s in record["stages"]] == [turn.key for turn in t.turns]
         assert record["stages"][0]["extracted"] == "1"
@@ -280,7 +281,7 @@ class TestSampleRecord:
 
     def test_single_turn_record_has_no_stage_reward(self):
         t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, SINGLE_TURN,
-                    StageBudgets(), RewardConfig(), 8000)
+                    StageBudgets(), RewardConfig())
         record = transcript_record(t, "cfg")
         assert record["stages"][0]["reward"] is None
         assert "reward=-" in _render_transcript(record)
@@ -290,19 +291,19 @@ class TestSampleRecord:
         backend = ScriptedPolicyBackend(PolicyParams())
         item = make_dataset(1).items[0]
         record = transcript_record(
-            _sample(backend, item, 12345, mode, StageBudgets(), RewardConfig(), 8000), "cfg")
+            _sample(backend, item, 12345, mode, StageBudgets(), RewardConfig()), "cfg")
         assert (record["episode_id"], record["seed"], record["backend"]) == (
             f"{item.id}@12345", 12345, backend.name)
 
     @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST, SINGLE_TURN])
     def test_backend_failure_marks_failed(self, mode):
-        t = _sample(MockBackend({}), make_dataset(1).items[0], 5, mode, StageBudgets(), RewardConfig(), 8000)
+        t = _sample(MockBackend({}), make_dataset(1).items[0], 5, mode, StageBudgets(), RewardConfig())
         assert t.failed and "no fixture" in t.error
         assert t.turns == []
 
     def test_write_transcripts_one_line_per_mode(self, tmp_path):
         item = make_dataset(1).items[0]
-        samples = [_sample(MockBackend(self.FIXTURES), item, 5, mode, StageBudgets(), RewardConfig(), 8000)
+        samples = [_sample(MockBackend(self.FIXTURES), item, 5, mode, StageBudgets(), RewardConfig())
                    for mode in (THINKER, THINKER_FAST, SINGLE_TURN)]
         path = tmp_path / "samples.jsonl"
         write_transcripts(str(path), samples, "cfg")
@@ -313,7 +314,7 @@ class TestSampleRecord:
     @pytest.mark.parametrize("mode", [THINKER_FAST, SINGLE_TURN])
     def test_one_turn_sample_is_terminal(self, mode):
         t = _sample(MockBackend(self.FIXTURES), make_dataset(1).items[0], 5, mode, StageBudgets(),
-                    RewardConfig(), 8000)
+                    RewardConfig())
         assert t.terminal and [m["role"] for m in t.messages()] == ["user", "assistant"]
         assert t.final_stage is t.turns[0].stage
         assert t.final_answer.raw == "1"
@@ -396,9 +397,8 @@ class TestOneTurnRecordPinned:
                 "token_count": token_count, "finish_reason": finish_reason,
                 "extracted": extracted, "reward": None}
 
-    def record(self, backend, mode, seed, budgets=StageBudgets(), single_turn_tokens=8000):
-        return transcript_record(_sample(backend, self.ITEM, seed, mode, budgets, RewardConfig(),
-                                         single_turn_tokens), "cfg")
+    def record(self, backend, mode, seed, budgets=StageBudgets()):
+        return transcript_record(_sample(backend, self.ITEM, seed, mode, budgets, RewardConfig()), "cfg")
 
     # seeds 8 and 5 draw a correct answer in thinker-fast and single-turn, 5 and 7 a wrong one
     @pytest.mark.parametrize("mode,seed,answer", [
@@ -414,7 +414,7 @@ class TestOneTurnRecordPinned:
     @pytest.mark.parametrize("mode", [THINKER_FAST, SINGLE_TURN])
     def test_truncated_sample(self, mode):
         backend = ScriptedPolicyBackend(PolicyParams(fast_tokens=12))
-        record = self.record(backend, mode, 5, budgets=StageBudgets(fast_tokens=5), single_turn_tokens=5)
+        record = self.record(backend, mode, 5, budgets=StageBudgets(fast_tokens=5, single_turn_tokens=5))
         assert record == self.expected(mode, 5, "scripted",
                                        stages=[self.turn(mode, self.FILLER, 5, "length", None)])
 
@@ -440,7 +440,7 @@ class TestOneTurnRequestPinned:
     """Every field of the request a thinker-fast or single-turn sample sends,
     written out in full, so the code that builds it can move freely."""
 
-    BUDGETS = StageBudgets(fast_tokens=50, temperature=0.7, summary_temperature=0.3)
+    BUDGETS = StageBudgets(fast_tokens=50, single_turn_tokens=77, temperature=0.7, summary_temperature=0.3)
 
     @pytest.mark.parametrize("mode,max_tokens,seed_key,stage", [
         (THINKER_FAST, 50, "fast_thinking", Stage.FAST_THINKING),
@@ -448,7 +448,7 @@ class TestOneTurnRequestPinned:
     ])
     def test_request(self, mode, max_tokens, seed_key, stage):
         backend = RequestKeepingBackend()
-        _sample(backend, TestOneTurnRecordPinned.ITEM, 5, mode, self.BUDGETS, RewardConfig(), 77)
+        _sample(backend, TestOneTurnRecordPinned.ITEM, 5, mode, self.BUDGETS, RewardConfig())
         assert [asdict(r) for r in backend.requests] == [{
             "messages": ({"role": "user", "content": TestOneTurnRecordPinned.PROMPT[mode]},),
             "max_tokens": max_tokens,
@@ -458,6 +458,26 @@ class TestOneTurnRequestPinned:
             "item_id": "e0",
             "reference_answer": "1",
         }]
+
+
+class TestSingleTurnBudget:
+    """The one-shot turn's limit is budgets.single_turn_tokens: a single-turn
+    sample sends it, and no staged request reads it."""
+
+    @staticmethod
+    def requests(mode, budgets):
+        backend = RequestKeepingBackend()
+        evaluate(backend, make_dataset(3), mode, k=2, budgets=budgets, seed=4)
+        return [asdict(r) for r in backend.requests]
+
+    def test_single_turn_sends_its_budget(self):
+        requests = self.requests(SINGLE_TURN, StageBudgets(single_turn_tokens=37))
+        assert {r["max_tokens"] for r in requests} == {37}
+
+    @pytest.mark.parametrize("mode", [THINKER, THINKER_FAST])
+    def test_staged_requests_ignore_it(self, mode):
+        assert self.requests(mode, StageBudgets(single_turn_tokens=37)) == \
+            self.requests(mode, StageBudgets())
 
 
 class TestThinkerBeatsFastWhenVerifierAcceptsCorrect:

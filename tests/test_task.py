@@ -98,6 +98,13 @@ class TestBudgets:
         assert b.temperature_for(Stage.SUMMARIZATION) == 0.6
         assert b.temperature_for(Stage.SLOW_THINKING) == 1.0
 
+    def test_one_shot_turn_has_its_own_limit(self):
+        assert StageBudgets().single_turn_tokens == 8000
+        b = StageBudgets(single_turn_tokens=77, temperature=0.9)
+        assert (b.budget_for(None), b.temperature_for(None)) == (77, 0.9)
+        with pytest.raises(ValueError, match="single_turn_tokens must be positive"):
+            StageBudgets(single_turn_tokens=0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             StageBudgets(fast_tokens=0)
