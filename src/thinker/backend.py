@@ -19,7 +19,6 @@ import json
 import math
 import os
 import time
-from _random import Random  # random.Random's C base: the same draws, minus two Python frames
 from collections import deque
 from dataclasses import dataclass, field
 from urllib.parse import quote, urlsplit
@@ -51,6 +50,19 @@ def derive_seed(*parts) -> int:
     """Stable 63-bit seed from arbitrary parts (never Python's salted hash)."""
     blob = "\x1f".join(map(str, parts)).encode("utf-8")
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+
+
+def splitmix64_draw(seed: int | None) -> float:
+    """Uniform draw in [0, 1) keyed by a seed (None reads as 0).
+
+    splitmix64's first output for state seed mod 2**64 (Steele, Lea and
+    Flood, OOPSLA 2014), its top 53 bits scaled by 2**-53: one mix per
+    draw, where seeding a Mersenne Twister would fill 624 words for it.
+    """
+    z = ((seed or 0) + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -211,13 +223,12 @@ class ScriptedPolicyBackend(Backend):
     0), the budget and the dialogue from the request. A request without a
     reference answer raises BackendError; one without a stage is answered
     as fast thinking. Every stage but the summary draws once against the
-    PolicyParams chances; the draw equals random.Random(seed).random(),
-    computed through its C base type. Only verification grades the fast
-    answer: the boxed answer of the first assistant message, wrong when
-    the dialogue holds one message. The summary restates the
-    boxed answer of messages[-2], the slow response, or the reference when
-    that message has no box. A response is filler ending in a boxed answer,
-    at its stage's length, clipped to max_tokens.
+    PolicyParams chances; the draw is splitmix64_draw(seed). Only
+    verification grades the fast answer: the boxed answer of the first
+    assistant message, wrong when the dialogue holds one message. The
+    summary restates the boxed answer of messages[-2], the slow response,
+    or the reference when that message has no box. A response is filler
+    ending in a boxed answer, at its stage's length, clipped to max_tokens.
     """
 
     name = "scripted"
@@ -237,7 +248,7 @@ class ScriptedPolicyBackend(Backend):
             answer = boxed.raw if boxed else truth
             tail = f"The final answer is \\boxed{{{answer}}}."
             return _padded(_FILLER, params.summary_tokens, tail, request.max_tokens)
-        draw = Random(request.seed or 0).random()
+        draw = splitmix64_draw(request.seed)
         if stage is None or stage is FAST:
             answer = truth if draw < params.p_fast else wrong_answer(truth)
             tail = f"The final answer is \\boxed{{{answer}}}."
@@ -276,7 +287,7 @@ class BackendConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in BACKEND_KINDS:
-            raise ValueError(f"backend kind must be one of {BACKEND_KINDS}")
+            raise ValueError(f"backend.kind must be one of {BACKEND_KINDS}")
         if not 0 < self.timeout_s < math.inf:  # NaN included
             raise ValueError("backend.timeout_s must be finite and positive")
         if self.max_attempts < 1:

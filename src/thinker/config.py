@@ -41,7 +41,10 @@ class EvalConfig:
     modes: tuple[str, ...] = ("thinker",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vocab", ReflectionVocab(terms=self.vocab).terms)  # checks each term
+        try:
+            object.__setattr__(self, "vocab", ReflectionVocab(terms=self.vocab).terms)  # checks each term
+        except ValueError as exc:
+            raise ValueError(f"eval.vocab: {exc}") from None
         # one spelling per mode, so thinker-fast and thinker_fast hash alike
         object.__setattr__(self, "modes", tuple(m.replace("-", "_") for m in self.modes))
         if self.k < 1:
@@ -118,7 +121,12 @@ def _build_dataclass(dc_type, data, path: str):
     try:
         return dc_type(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
+        # the message names its key once, in full: a section's own checks do so already,
+        # the value types it holds (budgets, rewards, policy) name the bare field
+        message = str(exc)
+        if path and not message.startswith(f"{path}."):
+            message = f"{path}.{message}"
+        raise ConfigError(message) from exc
 
 
 def config_from_dict(data: dict | None) -> EngineConfig:

@@ -35,7 +35,7 @@ class TrailingConfig:
 
     def __post_init__(self) -> None:
         if self.estimator not in (BATCH_MEAN, EMA):
-            raise ValueError(f"unknown trailing estimator {self.estimator!r}")
+            raise ValueError(f"estimator must be one of {(BATCH_MEAN, EMA)}, got {self.estimator!r}")
         if not 0.0 < self.ema_decay < 1.0:
             raise ValueError("ema_decay must be in (0, 1)")
         if self.min_batch_for_mean < 1:

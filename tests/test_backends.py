@@ -1,12 +1,11 @@
 import json
 import math
-import random
 import re
 import sys
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinker.backend import (
@@ -27,6 +26,7 @@ from thinker.backend import (
     wrong_answer,
     _filler,
     _padded,
+    splitmix64_draw,
 )
 from thinker.dataset import QAItem
 from thinker.errors import BackendError, LogprobUnsupportedError
@@ -251,11 +251,11 @@ def policy_request(stage, truth="7", seed=0, budget=BUDGET, fast=None, slow=None
 
 def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
                         fast_correct=None, slow_answer=None):
-    """The scripted policy as it was before it seeded only the stages that
-    draw: one random.Random(rng_seed) made first, whatever the stage."""
-    rng = random.Random(rng_seed)
+    """The scripted policy as it was before it drew only in the stages that
+    draw: one draw made first, whatever the stage."""
+    draw = splitmix64_draw(rng_seed)
     if stage is Stage.FAST_THINKING:
-        correct = rng.random() < params.p_fast
+        correct = draw < params.p_fast
         answer = question_answer if correct else wrong_answer(question_answer)
         tail = f"The final answer is \\boxed{{{answer}}}."
         return _padded(_FILLER, params.fast_tokens, tail, max_tokens)
@@ -263,13 +263,13 @@ def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
         if fast_correct is None:
             raise ValueError("verification response needs fast_correct")
         if fast_correct:
-            verdict = "Yes" if rng.random() < params.t_p else "No"
+            verdict = "Yes" if draw < params.t_p else "No"
         else:
-            verdict = "No" if rng.random() < params.t_n else "Yes"
+            verdict = "No" if draw < params.t_n else "Yes"
         tail = f"\\boxed{{{verdict}}}"
         return _padded(_FILLER, params.verify_tokens, tail, max_tokens)
     if stage is Stage.SLOW_THINKING:
-        correct = rng.random() < params.p_slow
+        correct = draw < params.p_slow
         answer = question_answer if correct else wrong_answer(question_answer)
         tail = f"</think> The refined answer is \\boxed{{{answer}}}."
         return _padded(_SLOW_FILLER, params.slow_tokens, tail, max_tokens)
@@ -279,7 +279,7 @@ def _respond_seed_first(stage, question_answer, params, rng_seed, max_tokens,
 
 
 class TestRespondSeeding:
-    """The scripted policy seeds a generator only where it draws; the
+    """The scripted policy draws only where a stage needs the draw; the
     responses must not change."""
 
     @given(st.data())
@@ -305,6 +305,28 @@ class TestRespondSeeding:
                                  fast=fast_answer, slow=kwargs["slow_answer"])
         assert ScriptedPolicyBackend(params).generate(request) == \
             _respond_seed_first(stage, answer, params, **kwargs)
+
+
+class TestSplitmix64Draw:
+    # splitmix64's published first outputs (Steele, Lea and Flood's reference generator)
+    @pytest.mark.parametrize("state, output", [(0, 0xE220A8397B1DCDAF),
+                                               (1234567, 6457827717110365317)])
+    def test_known_answers(self, state, output):
+        assert splitmix64_draw(state) == (output >> 11) * 2 ** -53
+
+    def test_none_draws_like_zero(self):
+        assert splitmix64_draw(None) == splitmix64_draw(0)
+
+    @given(seed=st.integers(0, 2 ** 64 - 1), wraps=st.integers(-3, 3))
+    @example(seed=2 ** 64 - 1, wraps=-1)  # the seed -1
+    @example(seed=7, wraps=2)
+    def test_congruent_seeds_draw_alike(self, seed, wraps):
+        # negative seeds and seeds >= 2**64 read as their residue mod 2**64
+        assert splitmix64_draw(seed + wraps * 2 ** 64) == splitmix64_draw(seed)
+
+    @given(seed=st.none() | st.integers(-(2 ** 80), 2 ** 80))
+    def test_in_unit_interval(self, seed):
+        assert 0.0 <= splitmix64_draw(seed) < 1.0
 
 
 class TestScriptedPolicy:
@@ -441,9 +463,9 @@ class TestScriptedPolicy:
 
     @given(seed=st.none() | st.integers(-(2 ** 80), 2 ** 80)
            | st.sampled_from([0, -1, 2 ** 64, 2 ** 64 + 1, -(2 ** 64) - 1]))
-    def test_draw_is_the_public_random_draw(self, seed):
-        # the C base type must draw exactly random.Random(seed).random(), None reading as 0
-        draw = random.Random(seed or 0).random()
+    def test_draw_is_the_splitmix64_draw(self, seed):
+        # the fast answer is right exactly when splitmix64_draw(seed) < p_fast
+        draw = splitmix64_draw(seed)
         for p_fast in (0.0, math.nextafter(draw, 0.0), draw, math.nextafter(draw, 1.0), 1.0):
             text = ScriptedPolicyBackend(PolicyParams(p_fast=p_fast)).generate(
                 policy_request(Stage.FAST_THINKING, seed=seed)).text

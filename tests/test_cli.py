@@ -91,7 +91,8 @@ class TestEpisode:
         assert f"data error: item 'cli': {flag[2:]} holds text UTF-8 cannot encode" in captured.err
 
     def test_json_carries_returns(self, capsys):
-        assert run_cli(*_EPISODE_ARGS, "--mode", "training", "--seed", "5", "--json") == 0
+        # seed 9 is the smallest whose training episode reaches the summary
+        assert run_cli(*_EPISODE_ARGS, "--mode", "training", "--seed", "9", "--json") == 0
         record = json.loads(capsys.readouterr().out)
         counts = [max(s["token_count"], 1) for s in record["stages"]]
         assert record["boundaries"] == [sum(counts[:i + 1]) for i in range(len(counts))]
@@ -154,13 +155,14 @@ class TestEpisode:
 class TestEpisodeViewFence:
     """Digests of the episode views, recorded before they were rendered from
     the transcript record and re-pinned only where the config hash they
-    print changed; a change to either view by one byte fails here."""
+    print changed and when the scripted policy's draw became
+    splitmix64_draw; a change to either view by one byte fails here."""
 
     @pytest.mark.parametrize("mode,seed,digest", [
-        ("training", 0, "87a896fef5b7f11a3dba906221bb680bdc54053edba4b0df4368035802dbdd8a"),
-        ("training", 5, "9532c7c9d3943bf88d295465df559fafa913c6bf85f6b9214b1cfe75b67eb432"),
-        ("inference", 0, "e225e3b29ad2e6cc5448acfc8fee123cb1451fed618fb7f7e766f6c826f40da1"),
-        ("inference", 5, "cc2c9db8b8ba7eef0904aacd9f0018708b3498156485f992840168b36c617d14"),
+        ("training", 0, "cf9a5ed7f21aea8d991b8b3ef7e5e9d4f9f1e4a72f5bf5d974633bad0b485466"),
+        ("training", 5, "594508b1d9986ff94e1cd325451fd583283359dcefec7114f0d9f83c92675410"),
+        ("inference", 0, "17f891c11024776a682e2fbce57855e55f7dea06fa9e6d3b93d4c9f3ea9430b3"),
+        ("inference", 5, "cd3367af56a14d5de988eadd6683458760318238878f9b16ee5a9103b68f72c0"),
     ])
     def test_text_bytes(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed)) == 0
@@ -175,8 +177,8 @@ class TestEpisodeViewFence:
         assert _sha(out) == "23855d61c41d7471c72811cbe90891e2c53af42b3d7f0077e62429d0115aba24"
 
     @pytest.mark.parametrize("mode,seed,digest", [
-        ("training", 5, "4321dd1262682a732a9b42b3b6bd5839f226cddfc26bbf9b6031a835cb4b8435"),
-        ("inference", 0, "97be3443d76f93f092c98d4466774005aca53b412f8fdeb98beb54416e5406cb"),
+        ("training", 5, "e09a269dfc904725fa4596cfe91e440aef37c74ef1508aa83538575e823303b4"),
+        ("inference", 0, "15ffd20339ba268e7c52a9c16c69aee16fc95d6b2320658bfd975f834497d682"),
     ])
     def test_json_bytes_without_returns(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed), "--json") == 0
@@ -522,11 +524,11 @@ class TestSimulate:
         assert run_cli(*self._LONG_FAST, *argv) == 0
         captured = capsys.readouterr()
         assert captured.out.splitlines()[1:] == [
-            "accuracy: analytic=0.650000  monte-carlo=0.402500 (se 0.024551)",
-            "tokens:   analytic=1280.00  monte-carlo=1388.00 (se 8.43)"]
+            "accuracy: analytic=0.650000  monte-carlo=0.382500 (se 0.024330)",
+            "tokens:   analytic=1280.00  monte-carlo=1390.00 (se 8.36)"]
         accuracy, tokens = captured.err.splitlines()
-        assert accuracy.startswith("accuracy: monte-carlo 0.4025 is 0.2475 from analytic 0.65,")
-        assert tokens.startswith("tokens: monte-carlo 1388 is 108 from analytic 1280,")
+        assert accuracy.startswith("accuracy: monte-carlo 0.3825 is 0.2675 from analytic 0.65,")
+        assert tokens.startswith("tokens: monte-carlo 1390 is 110 from analytic 1280,")
         # one episode has no standard error, so its gap is not flagged
         assert run_cli(*self._LONG_FAST, "simulate", "--episodes", "1") == 0
         assert capsys.readouterr().err == ""
@@ -558,7 +560,8 @@ class TestSimulate:
 
 class TestSimulateFence:
     """Digests of simulate's outputs, recorded before the point run and the
-    sweep rows shared one comparison row. The run's own config hash is
+    sweep rows shared one comparison row and re-pinned when the scripted
+    policy's draw became splitmix64_draw. The run's own config hash is
     replaced by a placeholder first, so a moved or added config key leaves
     them alone; a change to a printed estimate, a gap line or a sweep cell
     by one byte fails here."""
@@ -570,12 +573,12 @@ class TestSimulateFence:
         return text.replace(cfg_hash, "<config_hash>")
 
     @pytest.mark.parametrize("overrides, out_digest, err_digest", [
-        ((), "abed2e050d912f14c9a0287ac81fe1906904343078639abce28479be146e9ae5",
+        ((), "e1af474316faa9677c9acd09b305f4ce783b238efd424749bc1f4d906c4c983b",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         # a fast response over its stage budget: both estimates are flagged
         (("backend.policy.fast_tokens=1500",),
-         "e479d554e7640e65c7d2e9eb96cbaf2be3cc60adcf9451437e790cade0890230",
-         "180202ccee7f2ecff8d8277cf56a070c7d4af4ccdff9043b499ee37ffc343d3b"),
+         "153784b42ac56e1f56e1f2e5f6b6c980b4b0f8c86f90f049de5a020e7e2a3f7c",
+         "80fb347f3296ff1ca3eb103a28e2472f9d99053e0442c8fa411e6b4dd6e53416"),
     ], ids=["default", "long-fast"])
     def test_point_run_bytes(self, overrides, out_digest, err_digest, capsys):
         argv = [arg for override in overrides for arg in ("--set", override)]
@@ -585,11 +588,11 @@ class TestSimulateFence:
         assert _sha(captured.err) == err_digest
 
     @pytest.mark.parametrize("spec, seed, tsv_digest, err_digest", [
-        ("p_fast=0:1:0.25", "1", "f3522857168f8edbf3cdd2f0048739f506faeb5fe71bec25e1c14d4c76b9b53d",
+        ("p_fast=0:1:0.25", "1", "8095db6fbad3271f8bd6c8c22c0ac238192ee52fefe10625a12a7d00ec6e9ac6",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
         # fast_tokens 1040 and 1500 exceed the fast budget, so each of those rows flags both gaps
-        ("fast_tokens=120:1500:460", "3", "849086ac05356a37d3005073a09a667346238048431611e9f44c567162d5aa6b",
-         "fd4c2df8f8bb51a581f79127d324af7e4b9ac5373289d261228a1237ba170494"),
+        ("fast_tokens=120:1500:460", "3", "ebc3055bd7e095f7f433f01201ff1911bd319bd245c919889645e20ebe1ea8df",
+         "2d7f2ece352f413858fbe4f5f19f5734ff4479693467c620cf508d0231c291e5"),
     ], ids=["p_fast", "fast_tokens"])
     def test_sweep_bytes(self, spec, seed, tsv_digest, err_digest, tmp_path, capsys):
         out = tmp_path / "sweep.tsv"
@@ -791,25 +794,28 @@ class TestTopLevel:
         assert run_cli("--config", str(cfg), "--print-config") == 0
         assert "k: 2" in capsys.readouterr().out
 
-    # each value fails a check of its own: a type, a range, a section, a key, or YAML
+    # each value fails a check of its own: a type, a range, a section, a key, or YAML;
+    # a range check names its key once, in full, whichever section holds it
     @pytest.mark.parametrize("overrides, message", [
         (["rollout.batch_size=0"], "rollout.batch_size must be >= 1"),
         (["eval.k=0"], "eval.k must be >= 1"),  # the --k flag refuses 0 before the config sees it
-        (["budgets.single_turn_tokens=0"], "budgets: single_turn_tokens must be positive"),
-        (["rewards.logprob_per_token_mean=1"], "expected a boolean, got 1"),
+        (["budgets.single_turn_tokens=0"], "budgets.single_turn_tokens must be positive"),
+        (["rewards.logprob_per_token_mean=1"], "rewards.logprob_per_token_mean: expected a boolean, got 1"),
         (["backend=3"], "backend: expected a mapping"),
         (["eval.k=3", "eval.k.x=1"], "cannot override 'eval.k.x': 'k' is not a section"),
-        (["eval.k=[1"], "unparseable value"),
+        (["eval.k=[1"], "override 'eval.k=[1': unparseable value"),
         (["backend.max_attempts=0"], "backend.max_attempts must be >= 1"),
         (["backend.policy.p_slow_given_fast_correct=0.5"],
          "unknown config key 'backend.policy.p_slow_given_fast_correct'"),
         (["eval.k=null"], "eval.k: expected an integer, got None"),
+        (["backend.policy.p_fast=1.5"], "backend.policy.p_fast must be in [0, 1]"),
+        (["rewards.trailing.estimator=x"],
+         "rewards.trailing.estimator must be one of ('batch_mean', 'ema'), got 'x'"),
     ])
     def test_bad_set_value_is_config_error(self, overrides, message, capsys):
         argv = [arg for override in overrides for arg in ("--set", override)]
         assert run_cli(*argv, "--print-config") == 3
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     # the one-shot turn's limit moved to budgets.single_turn_tokens; the old key is refused by name
     @pytest.mark.parametrize("source", ["set", "file"])

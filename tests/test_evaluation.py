@@ -216,12 +216,12 @@ class TestEvaluate:
         params = PolicyParams(p_fast=0.5)
         clean = evaluate(ScriptedPolicyBackend(params), dataset, THINKER, 8, seed=1)
         faulty = evaluate(SlowStageFailingBackend(params), dataset, THINKER, 8, seed=1)
-        assert (faulty.failures, round(faulty.overall_accuracy, 4)) == (129, 0.6963)
-        assert faulty.accuracy_failures_as_wrong == 268 / 512
-        assert (clean.failures, round(clean.overall_accuracy, 4)) == (0, 0.6523)
+        assert (faulty.failures, round(faulty.overall_accuracy, 4)) == (138, 0.6874)
+        assert faulty.accuracy_failures_as_wrong == 256 / 512
+        assert (clean.failures, round(clean.overall_accuracy, 4)) == (0, 0.6543)
         assert faulty.accuracy_failures_as_wrong < clean.overall_accuracy < faulty.overall_accuracy
-        assert faulty.to_dict()["accuracy_failures_as_wrong"] == 268 / 512
-        assert "pass@1 counting them wrong: 52.34%" in faulty.render_table()
+        assert faulty.to_dict()["accuracy_failures_as_wrong"] == 256 / 512
+        assert "pass@1 counting them wrong: 50.00%" in faulty.render_table()
         assert clean.accuracy_failures_as_wrong is None
         assert "accuracy_failures_as_wrong" not in clean.to_dict()
 
@@ -400,9 +400,9 @@ class TestOneTurnRecordPinned:
     def record(self, backend, mode, seed, budgets=StageBudgets()):
         return transcript_record(_sample(backend, self.ITEM, seed, mode, budgets, RewardConfig()), "cfg")
 
-    # seeds 8 and 5 draw a correct answer in thinker-fast and single-turn, 5 and 7 a wrong one
+    # seeds 1 and 3 draw a correct answer in thinker-fast and single-turn, 0 a wrong one in both
     @pytest.mark.parametrize("mode,seed,answer", [
-        (THINKER_FAST, 8, "1"), (THINKER_FAST, 5, "2"), (SINGLE_TURN, 5, "1"), (SINGLE_TURN, 7, "2"),
+        (THINKER_FAST, 1, "1"), (THINKER_FAST, 0, "2"), (SINGLE_TURN, 3, "1"), (SINGLE_TURN, 0, "2"),
     ])
     def test_finished_sample(self, mode, seed, answer):
         backend = ScriptedPolicyBackend(PolicyParams(fast_tokens=12))

@@ -5,8 +5,10 @@ batch and eval shared one token reducer, (the clipped batches) before the
 scripted policy counted its responses' tokens without splitting their text,
 (the advantages) before compute_gae carried the next value through its
 loop, and (the long simulated episodes) before the scripted policy built
-each filler once; a refactor that changes a report, a transcript file, a
-Monte Carlo estimate or one bit of an advantage fails here.
+each filler once; those that changed were re-pinned once when the
+scripted policy's draw became splitmix64_draw. A refactor that changes a
+report, a transcript file, a Monte Carlo estimate or one bit of an
+advantage fails here.
 """
 
 import hashlib
@@ -38,9 +40,9 @@ def _dataset():
 
 
 @pytest.mark.parametrize("mode,digest", [
-    (THINKER, "c022cf9257ee30a206174ffe4712c60818e2b0d792d5c8a91fb504c01820acc6"),
-    (THINKER_FAST, "38bb35dc111f363e2b5a6b908cf65cc7b79df04b3b55b05578257f54f7433797"),
-    (SINGLE_TURN, "f68c644fcb9ce174711cc9f7a906646d85cdc8be490e6f47de76802dbffd2de2"),
+    (THINKER, "a7d110ae4bee5be176d1417706e0f99725d76af54831dabc46962bd92e8ec96e"),
+    (THINKER_FAST, "0a464e4eeddc3c9ee50af44e5f41a876fe4d067715ba0339e6881e1d4bd27c75"),
+    (SINGLE_TURN, "464248414cf6098a24d7a6cb0553a5782e2b300f0ee73db31e9f8e7019d71ec0"),
 ])
 def test_eval_report_bytes(mode, digest):
     report = evaluate(ScriptedPolicyBackend(POLICY), _dataset(), mode, k=3, seed=11)
@@ -52,12 +54,12 @@ def test_training_batch_bytes(tmp_path):
                       seed=5, samples_per_prompt=4)
     path = tmp_path / "batch.jsonl"
     write_transcripts(str(path), batch.transcripts, "fence")
-    assert _sha(path.read_bytes()) == "dae8581df7def08947cf98f4e1a3c18173b6e2f6de84b74a919364e124df6c50"
+    assert _sha(path.read_bytes()) == "7bfe19d7382746be23331e71312ef81174da0e5ec3acba5fa5f552af193bff3f"
     stats = {"fast": batch.fast_accuracy, "final": batch.final_accuracy, "p": batch.trailing.p,
              "stages": batch.mean_stage_tokens, "total": batch.mean_total_tokens,
              "failures": batch.failures}
     assert _sha(json.dumps(stats, sort_keys=True).encode("utf-8")) == \
-        "0f773126461fbef49c76914973debbe79aca803543968ce8d57334f819ecc153"
+        "111db4f7a2058994f4822449b097ca061f9dea48e579347169dd72283695af8f"
 
 
 @pytest.mark.parametrize("budgets,digest", [
@@ -66,7 +68,7 @@ def test_training_batch_bytes(tmp_path):
      "19763f91ddb247d3b1d321062b8f08a6935a4545c0c18ec275109fc8fba44cbf"),
     # slow exactly at its budget, so summaries run and are clipped inside the filler
     (StageBudgets(fast_tokens=117, verify_tokens=40, slow_tokens=400, summary_tokens=200),
-     "c95b9a44cee6524e7c5e32a44536113536c681cacd03dad1d49d7abefbcc6051"),
+     "fa2ce356e0e13b2724ca042a3f1de9e1c55afa055e6aee109b781eadde7fbb6f"),
 ])
 def test_clipped_training_batch_bytes(tmp_path, budgets, digest):
     batch = run_batch(ScriptedPolicyBackend(POLICY), list(_dataset()), Mode.TRAINING,
@@ -78,8 +80,8 @@ def test_clipped_training_batch_bytes(tmp_path, budgets, digest):
 
 
 @pytest.mark.parametrize("gamma,lam,digest", [
-    (1.0, 1.0, "bf3894bd3befb17563b92e286a454be12287c04c3a5a4f91a09c556faf94f9df"),
-    (0.99, 0.95, "e8c29ac28ce6ec5117efee5b93b98832859cc8f1d79f78b6b7dfaeafb065e76f"),
+    (1.0, 1.0, "4a6438c500bf67480e6a59b8711cbdb6a85f1359706fde6074660db8345dc951"),
+    (0.99, 0.95, "2815169a3565faef440171863f21ece4c131b4ccc57ba4ed694d05bc4420478d"),
 ])
 def test_training_batch_advantages_bits(gamma, lam, digest):
     # default policy and budgets: episodes of about 550 tokens, past what the
@@ -100,13 +102,14 @@ def test_training_batch_advantages_bits(gamma, lam, digest):
 def test_long_monte_carlo_estimates_bytes():
     accuracy, tokens = monte_carlo(LONG_POLICY, 64, seed=9)
     assert _sha(json.dumps([asdict(accuracy), asdict(tokens)], sort_keys=True).encode("utf-8")) == \
-        "b51de72e8653e9210e1e452a61501e67f96649a26fb5856c4efe22bd4ffa1069"
+        "f406b0e200dbf187e4e24c0335a8c2b9b3f215ac030097b47f7bf61a0e71995a"
 
 
 def test_long_inference_transcript_bytes(tmp_path):
-    transcript = run_episode(ScriptedPolicyBackend(LONG_POLICY), _dataset().items[0], Mode.INFERENCE, seed=3)
+    # seed 4 is the smallest whose episode reaches slow thinking
+    transcript = run_episode(ScriptedPolicyBackend(LONG_POLICY), _dataset().items[0], Mode.INFERENCE, seed=4)
     assert [turn.stage for turn in transcript.turns] == \
         [Stage.FAST_THINKING, Stage.VERIFICATION, Stage.SLOW_THINKING]
     path = tmp_path / "long.jsonl"
     write_transcripts(str(path), [transcript], "fence")
-    assert _sha(path.read_bytes()) == "83f3332a203a76273d995f07b125cbaaab88dda8924b015833f0ef1130b9b4a0"
+    assert _sha(path.read_bytes()) == "1e707d53b16b6a7038fd509904a6c1220bbd661731c2112fbf7d6dcef315a36d"

@@ -72,7 +72,7 @@ def _batches(backends, mode):
 
 def test_training_batch_differs_only_where_the_wire_loses(backends):
     local, wire = _batches(backends, Mode.TRAINING)
-    assert local.trailing.p == wire.trailing.p == 0.40625
+    assert local.trailing.p == wire.trailing.p == 0.421875
     summaries = 0
     for a, b in zip(local.transcripts, wire.transcripts):
         reached_summary = any(turn.key == "summarization" for turn in a.turns)
