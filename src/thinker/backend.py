@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -46,10 +47,14 @@ def truncate_to_budget(text: str, max_tokens: int) -> tuple[str, int, str]:
     return text, len(words), FINISH_STOP
 
 
+_sha256 = hashlib.sha256
+_first_u64 = struct.Struct(">Q").unpack_from  # the digest's first 8 bytes, big-endian
+
+
 def derive_seed(*parts) -> int:
-    """Stable 63-bit seed from arbitrary parts (never Python's salted hash)."""
-    blob = "\x1f".join(map(str, parts)).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big") >> 1
+    """Stable 63-bit seed from arbitrary parts (never Python's salted hash):
+    the top 63 bits of the sha256 of their str forms joined by "\\x1f"."""
+    return _first_u64(_sha256("\x1f".join(map(str, parts)).encode("utf-8")).digest())[0] >> 1
 
 
 def splitmix64_draw(seed: int | None) -> float:
@@ -65,7 +70,7 @@ def splitmix64_draw(seed: int | None) -> float:
     return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationRequest:
     """One generation call: full dialogue, budget, temperature, seed.
 
@@ -82,20 +87,23 @@ class GenerationRequest:
     reference_answer: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
+        messages = self.messages
+        if type(messages) is not tuple:  # a list, say; stage_request already passes a tuple
+            messages = tuple(messages)
+            object.__setattr__(self, "messages", messages)
         if self.max_tokens <= 0:
             raise ValueError("max_tokens must be positive")
-        if not self.messages:
+        if not messages:
             raise ValueError("messages must be nonempty")
-        for i, msg in enumerate(self.messages):
+        for i, msg in enumerate(messages):
             expected = "user" if i % 2 == 0 else "assistant"
             if msg.get("role") != expected:
                 raise ValueError("messages must alternate user/assistant starting with user")
-        if self.messages[-1]["role"] != "user":
+        if messages[-1]["role"] != "user":
             raise ValueError("the last message must be the pending user prompt")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenerationResult:
     text: str
     token_count: int

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, suppress
 
 from .backend import BACKEND_KINDS, PolicyParams
 from .config import (
@@ -117,6 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     rollout.add_argument("--parallelism", **parallelism)
     rollout.add_argument("--seed", type=int, default=0)
     rollout.add_argument("--out", default="transcripts.jsonl")
+    rollout.add_argument("--trailing", metavar="FILE",
+                         help="start from the trailing fast accuracy {p, count} in FILE, if it "
+                              "exists, and write the batch's back to FILE")
     _add_policy_flags(rollout)
 
     ev = commands.add_parser("eval", help="benchmark pass@1 accuracy over k samples")
@@ -217,15 +220,56 @@ def _cmd_episode(args, cfg: EngineConfig) -> int:
     return EXIT_BACKEND if transcript.failed else EXIT_OK
 
 
+def _read_trailing(path: str) -> TrailingAccuracy | None:
+    """The tracker saved in *path*, or None when there is no such file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        return None
+    try:
+        state = json.loads(data)
+        p, count = state["p"], state["count"]
+    # not JSON or not UTF-8, nested past the decoder's depth, a key missing, not an object
+    except (ValueError, RecursionError, KeyError, TypeError):
+        p = count = None
+    # bool is an int subclass, so true and false are refused by name
+    if (type(p) not in (int, float) or not 0 <= p <= 1  # NaN included
+            or type(count) is not int or count < 0):
+        raise DatasetError(f"trailing file {path!r} must hold a JSON object with a number p in "
+                           "[0, 1] and an integer count >= 0")
+    return TrailingAccuracy(p=float(p), count=count)
+
+
+def _write_trailing(path: str, tracker: TrailingAccuracy) -> None:
+    """Replace *path* with the tracker in one step: a reader, or a run that
+    crashes midway, sees the old file or the new one, never a part."""
+    tmp = f"{path}.{os.getpid()}.tmp"  # beside path: os.replace cannot move across file systems
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps({"count": tracker.count, "p": tracker.p}) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _cmd_rollout(args, cfg: EngineConfig) -> int:
     items = sample_batch(_load_nonempty(args.dataset), cfg.rollout.batch_size, args.seed)
+    tracker = _read_trailing(args.trailing) if args.trailing is not None else None
     with closing(build_backend(cfg)) as backend:
         batch = run_batch(
             backend, items, Mode(args.mode),
             seed=args.seed, samples_per_prompt=cfg.rollout.samples_per_prompt,
             budgets=cfg.budgets, reward_cfg=cfg.rewards, parallelism=cfg.rollout.parallelism,
+            tracker=tracker,
         )
     write_transcripts(args.out, batch.transcripts, config_hash(cfg))
+    if args.trailing is not None:  # after the transcripts: a batch that was not written does not count
+        _write_trailing(args.trailing, batch.trailing)
     print(_batch_summary(batch, args.out))
     return EXIT_OK
 

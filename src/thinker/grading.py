@@ -195,7 +195,10 @@ def answers_equal(a: "ExtractedAnswer | str | None", b: "ExtractedAnswer | str |
         return False
     if left.canonical == right.canonical:  # one canonical form parses to one value
         return True
-    return left.numeric is not None and left.numeric == right.numeric  # a Fraction != None
+    value, other = left.numeric, right.numeric
+    # a Fraction is in lowest terms with a positive denominator, so equal values
+    # have equal ratios; Fraction.__eq__ would first run an ABC isinstance check
+    return value is not None and other is not None and value.as_integer_ratio() == other.as_integer_ratio()
 
 
 def extract_verdict(text: str) -> Verdict:

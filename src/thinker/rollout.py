@@ -36,7 +36,7 @@ from .rewards import (
     reward_verify,
     update_trailing,
 )
-from .task import (FAST, SINGLE_TURN, SLOW, SUMMARY, VERIFY, Mode, StageBudgets, Transcript, advance,
+from .task import (_STAGE_KEY, FAST, SLOW, SUMMARY, VERIFY, Mode, StageBudgets, Transcript, advance,
                    begin_episode)
 # unused here, but the benchmark's tracer (benchmarks/tracing.py) patches it
 from .grading import answers_equal
@@ -54,7 +54,7 @@ def stage_request(state: Transcript) -> GenerationRequest:
         messages=tuple(state.messages()),
         max_tokens=budgets.budget_for(stage),
         temperature=budgets.temperature_for(stage),
-        seed=derive_seed(state.seed, stage.key if stage is not None else SINGLE_TURN),
+        seed=derive_seed(state.seed, _STAGE_KEY[stage]),
         stage=stage,
         item_id=state.item.id,
         reference_answer=state.item.answer,

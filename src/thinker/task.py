@@ -62,8 +62,10 @@ TRAINING, INFERENCE = Mode
 SINGLE_TURN = "single_turn"
 # Turn.key of a stage's turn, and of the one-shot turn (stage None).
 _STAGE_KEY = {stage: stage.name.lower() for stage in Stage} | {None: SINGLE_TURN}
-# StageRewards field of each stage; its StageBudgets field adds "_tokens".
+# StageRewards field of each stage.
 _FIELD = {FAST: "fast", VERIFY: "verify", SLOW: "slow", SUMMARY: "summary"}
+# StageBudgets field of each stage's limit, and of the one-shot turn's (stage None).
+_BUDGET_FIELD = {stage: f"{name}_tokens" for stage, name in _FIELD.items()} | {None: f"{SINGLE_TURN}_tokens"}
 
 
 # The assistant turn for slow thinking opens with the think marker already in
@@ -119,16 +121,16 @@ class StageBudgets:
     summary_temperature: float = 0.6
 
     def __post_init__(self) -> None:
-        for name in (*_FIELD.values(), SINGLE_TURN):
-            if getattr(self, f"{name}_tokens") <= 0:
-                raise ValueError(f"{name}_tokens must be positive")
+        for name in _BUDGET_FIELD.values():
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.temperature < math.inf:  # NaN included
             raise ValueError("temperature must be finite and >= 0")
         if not 0.0 < self.summary_temperature <= 1.0:
             raise ValueError("summary_temperature must be in (0, 1]")
 
     def budget_for(self, stage: Stage | None) -> int:
-        return getattr(self, _FIELD.get(stage, SINGLE_TURN) + "_tokens")
+        return getattr(self, _BUDGET_FIELD[stage])
 
     def temperature_for(self, stage: Stage | None) -> float:
         return self.summary_temperature if stage is SUMMARY else self.temperature

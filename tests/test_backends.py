@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -78,6 +79,28 @@ class TestRequestContract:
         with pytest.raises(ValueError):
             GenerationRequest(messages=user_msg(), max_tokens=0, temperature=1.0)
 
+    def test_list_of_messages_is_stored_as_a_tuple(self):
+        messages = [{"role": "user", "content": "a"}, {"role": "assistant", "content": "b"},
+                    {"role": "user", "content": "c"}]
+        req = GenerationRequest(messages=messages, max_tokens=10, temperature=1.0)
+        assert type(req.messages) is tuple
+        assert req.messages == tuple(messages)
+        messages.append({"role": "assistant", "content": "d"})
+        assert len(req.messages) == 3  # a copy, not the caller's list
+
+    def test_tuple_of_messages_is_kept(self):
+        messages = user_msg()
+        assert request(messages=messages).messages is messages
+
+    @pytest.mark.parametrize("make, field", [
+        (request, "max_tokens"), (lambda: GenerationResult("t", 1), "text"),
+    ], ids=["request", "result"])
+    def test_frozen_and_slotted(self, make, field):
+        obj = make()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, 5)
+        assert not hasattr(obj, "__dict__")
+
 
 class TestTruncation:
     def test_under_budget_untouched(self):
@@ -102,6 +125,19 @@ class TestDeriveSeed:
     def test_distinct_parts_distinct_seeds(self):
         seeds = {derive_seed(0, "stage", i) for i in range(100)}
         assert len(seeds) == 100
+
+    @pytest.mark.parametrize("parts, seed", [
+        ((0, "fast_thinking"), 1611515807922379791),
+        ((123456789, "verification"), 3480588714356779054),
+        ((5, "mc-episode", 3), 7819979216027591919),
+        ((1, 2, "syn-0001", 3), 8261701535774925706),
+        ((-7, "single_turn"), 7090240672870743559),
+        (("\u00e9", 2**70), 4993451399730546167),
+    ], ids=["fast", "verify", "mc-episode", "batch-episode", "negative", "non-ascii-and-big"])
+    def test_pinned_values(self, parts, seed):
+        # the top 63 bits of sha256("\x1f".join(map(str, parts))), as every
+        # transcript, episode seed and wire seed has used them
+        assert derive_seed(*parts) == seed
 
 
 class TestMockBackend:

@@ -16,8 +16,11 @@ from thinker import cli
 from thinker.cli import main
 from thinker.backend import Backend
 from thinker.config import EngineConfig, build_backend, config_hash, load_config
-from thinker.dataset import load_dataset
+from thinker.dataset import load_dataset, sample_batch
 from thinker.errors import ThinkerError
+from thinker.rewards import TrailingAccuracy
+from thinker.rollout import run_batch, write_transcripts
+from thinker.task import Mode
 
 from conftest import fixture_map
 from mock_backend import MockBackend
@@ -163,7 +166,7 @@ class TestEpisodeViewFence:
         ("training", 5, "594508b1d9986ff94e1cd325451fd583283359dcefec7114f0d9f83c92675410"),
         ("inference", 0, "17f891c11024776a682e2fbce57855e55f7dea06fa9e6d3b93d4c9f3ea9430b3"),
         ("inference", 5, "cd3367af56a14d5de988eadd6683458760318238878f9b16ee5a9103b68f72c0"),
-    ])
+    ], ids=["training-0", "training-5", "inference-0", "inference-5"])  # ids without the digests
     def test_text_bytes(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed)) == 0
         assert _sha(capsys.readouterr().out) == digest
@@ -179,7 +182,7 @@ class TestEpisodeViewFence:
     @pytest.mark.parametrize("mode,seed,digest", [
         ("training", 5, "e09a269dfc904725fa4596cfe91e440aef37c74ef1508aa83538575e823303b4"),
         ("inference", 0, "15ffd20339ba268e7c52a9c16c69aee16fc95d6b2320658bfd975f834497d682"),
-    ])
+    ], ids=["training-5", "inference-0"])
     def test_json_bytes_without_returns(self, capsys, mode, seed, digest):
         assert run_cli(*_EPISODE_ARGS, "--mode", mode, "--seed", str(seed), "--json") == 0
         record = json.loads(capsys.readouterr().out)
@@ -284,6 +287,131 @@ class TestRollout:
         assert run_cli("rollout", "--dataset", str(data), "--out", str(out)) == 5
         assert "data error: item 'a': question holds text UTF-8 cannot encode" in capsys.readouterr().err
         assert not out.exists()
+
+_EMA = ("--set", "rewards.trailing.estimator=ema")
+
+
+def _summary_stats(out: str) -> tuple[float, float]:
+    """The fast accuracy and trailing p a rollout summary prints."""
+    m = re.search(r"fast accuracy=(\d\.\d+) .* trailing p=(\d\.\d+)", out)
+    return float(m.group(1)), float(m.group(2))
+
+
+class TestTrailingFile:
+    """rollout --trailing FILE carries the trailing fast accuracy from one call to the next."""
+
+    def _rollout(self, data, out, trailing, seed, *extra):
+        return run_cli(*_EMA, "rollout", "--dataset", str(data), "--batch-size", "4",
+                       "--samples-per-prompt", "2", "--seed", str(seed), "--out", str(out),
+                       "--trailing", str(trailing), *extra)
+
+    def test_calls_sharing_the_file_chain_like_run_batch(self, tmp_path):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "6", "--seed", "2", "--out", str(data))
+        trailing = tmp_path / "trailing.json"
+        cfg = load_config(None, ["rewards.trailing.estimator=ema"],
+                          {"rollout.batch_size": 4, "rollout.samples_per_prompt": 2})
+        dataset, tracker = load_dataset(str(data)), None
+        for seed in range(3):
+            out, expected = tmp_path / f"cli{seed}.jsonl", tmp_path / f"py{seed}.jsonl"
+            assert self._rollout(data, out, trailing, seed) == 0
+            batch = run_batch(build_backend(cfg), sample_batch(dataset, 4, seed), Mode.TRAINING,
+                              seed=seed, samples_per_prompt=2, budgets=cfg.budgets,
+                              reward_cfg=cfg.rewards, tracker=tracker)
+            tracker = batch.trailing
+            write_transcripts(str(expected), batch.transcripts, config_hash(cfg))
+            assert json.loads(trailing.read_text()) == {"p": tracker.p, "count": tracker.count}
+            assert out.read_bytes() == expected.read_bytes()
+        assert tracker.count == 24
+        assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("trailing")) == \
+            ["trailing.json"]  # no temporary file is left behind
+
+    def test_ema_moves_p_toward_the_batch_means(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "32", "--seed", "1", "--out", str(data))
+        trailing, p_prev = tmp_path / "trailing.json", 0.5
+        for seed in range(3):
+            assert run_cli(*_EMA, "rollout", "--dataset", str(data), "--batch-size", "16",
+                           "--samples-per-prompt", "4", "--p-fast", "0.9", "--seed", str(seed),
+                           "--out", str(tmp_path / "t.jsonl"), "--trailing", str(trailing)) == 0
+            fast, p = _summary_stats(capsys.readouterr().out)
+            assert fast > 0.8
+            assert p_prev < p < fast  # each call starts where the last one ended
+            p_prev = p
+        assert p_prev > 0.6  # a call that started at 0.5 each time would stay near 0.54
+
+    def test_without_the_flag_nothing_is_written(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "6", "--seed", "2", "--out", str(data))
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for out in (a, b):
+            assert run_cli(*_EMA, "rollout", "--dataset", str(data), "--batch-size", "4",
+                           "--seed", "3", "--out", str(out)) == 0
+        first, second = capsys.readouterr().out.split("transcripts written")[:2]
+        assert _summary_stats(first)[1] == _summary_stats(second)[1]
+        assert a.read_bytes() == b.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "b.jsonl", "d.jsonl"]
+
+    @pytest.mark.parametrize("content", [
+        "", "not json", "[0.5, 4]", '"p"', "0.5", '{"p": 0.5}', '{"count": 4}',
+        '{"p": 1.5, "count": 4}', '{"p": -0.1, "count": 4}', '{"p": NaN, "count": 4}',
+        '{"p": "0.5", "count": 4}', '{"p": true, "count": 4}', '{"p": 0.5, "count": -1}',
+        '{"p": 0.5, "count": 4.0}', '{"p": 0.5, "count": false}', '{"p": 0.5, "count": null}',
+    ])
+    def test_a_bad_file_exits_5_naming_it(self, tmp_path, capsys, monkeypatch, content):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "4", "--seed", "2", "--out", str(data))
+        trailing = tmp_path / "trailing.json"
+        trailing.write_text(content)
+        monkeypatch.setattr(cli, "build_backend", lambda cfg: pytest.fail("backend built"))
+        out = tmp_path / "t.jsonl"
+        assert self._rollout(data, out, trailing, 0) == 5
+        assert f"data error: trailing file {str(trailing)!r}" in capsys.readouterr().err
+        assert trailing.read_text() == content
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [
+        b'{"p": 0.5, "count": 4, "x": "\xff"}', b"[" * 100_000,
+    ], ids=["not-utf8", "nested-past-the-decoder"])
+    def test_undecodable_file_exits_5(self, tmp_path, capsys, content):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "4", "--seed", "2", "--out", str(data))
+        trailing = tmp_path / "trailing.json"
+        trailing.write_bytes(content)
+        assert self._rollout(data, tmp_path / "t.jsonl", trailing, 0) == 5
+        assert f"data error: trailing file {str(trailing)!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content, p, count", [
+        ('{"p": 0, "count": 0}', 0.0, 0), ('{"p": 1, "count": 7, "note": "kept"}', 1.0, 7),
+    ])
+    def test_integer_p_and_extra_keys_are_read(self, tmp_path, monkeypatch, content, p, count):
+        seen = []
+        monkeypatch.setattr(cli, "run_batch", lambda *a, tracker, **kw: seen.append(tracker) or
+                            run_batch(*a, tracker=tracker, **kw))
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "4", "--seed", "2", "--out", str(data))
+        trailing = tmp_path / "trailing.json"
+        trailing.write_text(content)
+        assert self._rollout(data, tmp_path / "t.jsonl", trailing, 0) == 0
+        assert seen == [TrailingAccuracy(p=p, count=count)]
+        assert json.loads(trailing.read_text())["count"] == count + 8
+
+    def test_an_unwritable_directory_leaves_no_file(self, tmp_path, capsys):
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "4", "--seed", "2", "--out", str(data))
+        trailing = tmp_path / "missing" / "trailing.json"
+        assert self._rollout(data, tmp_path / "t.jsonl", trailing, 0) == 5
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not trailing.parent.exists()
+
+    def test_an_empty_name_is_not_read_as_no_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = tmp_path / "d.jsonl"
+        run_cli("gen-data", "--n", "4", "--seed", "2", "--out", str(data))
+        assert self._rollout(data, tmp_path / "t.jsonl", "", 0) == 5
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "t.jsonl"]
+
 
 class TestEval:
     def test_report_file_with_pass_rate(self, tmp_path, capsys):

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thinker.backend import _filler, wrong_answer
@@ -36,6 +36,25 @@ SPELLINGS = st.one_of(
     st.tuples(_SMALL, _SMALL).map(lambda t: f" ${t[0]} /  {t[1]}$. "),
     st.sampled_from(["x", "X", "\\text{x}", " x. ", "(1, 2)", "(1,2)", "1,000", "Yes", "\\sqrt{2}"]),
     st.text(alphabet="0123456789/.-xX ", max_size=6),
+)
+
+
+# numeric spellings of one small value each, signed and not in lowest terms
+# included, beside answers that are not numbers
+_RATIO = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+NUMERIC_OR_NOT = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.tuples(st.integers(-3, 3), st.sampled_from(["0", "25", "5", "50", "125", "333"]))
+    .map(lambda t: f"{t[0]}.{t[1]}"),
+    _RATIO.map(lambda t: f"{t[0]}/{t[1]}"),
+    _RATIO.map(lambda t: f"{t[0]} / {t[1]}"),
+    st.tuples(st.sampled_from(["", "-", "+"]), st.sampled_from(["\\frac", "\\dfrac", "\\tfrac"]),
+              st.integers(-12, 12), st.integers(-12, 12))
+    .map(lambda t: f"{t[0]}{t[1]}{{{t[2]}}}{{{t[3]}}}"),
+    st.tuples(st.sampled_from(["", "-"]), st.integers(0, 9), st.integers(0, 9))
+    .map(lambda t: f"{t[0]}\\frac{t[1]}{t[2]}"),
+    st.sampled_from(["x", "1,000", "(1, 2)", "\\sqrt{2}", "Yes", "1/x", "0.5.5", ""]),
+    st.none(),
 )
 
 
@@ -273,6 +292,28 @@ class TestAnswersEqual:
             expected = canonical_a == canonical_b
         assert answers_equal(a, b) == answers_equal(b, a) == expected
         assert answers_equal(a, a) and answers_equal(b, b)
+
+    @given(NUMERIC_OR_NOT, NUMERIC_OR_NOT)
+    @settings(max_examples=1000)
+    @example("2/4", "0.5")
+    @example("-2/4", "1/-2")
+    @example("\\dfrac{6}{-8}", "-0.75")
+    @example("-\\frac12", "2/-4")
+    @example("0/5", "-0/3")
+    @example("1/0", "1/0")
+    @example(None, "0.5")
+    def test_numeric_pairs_agree_with_fraction_equality(self, a, b):
+        # answers_equal compares Fractions by their integer ratios; it must
+        # agree with Fraction.__eq__ wherever both sides parse
+        left = None if a is None else ExtractedAnswer.from_raw(a)
+        right = None if b is None else ExtractedAnswer.from_raw(b)
+        if left is None or right is None:
+            expected = False
+        elif left.numeric is not None and right.numeric is not None:
+            expected = Fraction.__eq__(left.numeric, right.numeric)
+        else:
+            expected = left.canonical == right.canonical
+        assert answers_equal(a, b) == answers_equal(b, a) == expected
 
     @given(st.integers(-100, 100), st.integers(1, 40), st.integers(-100, 100), st.integers(1, 40))
     @settings(max_examples=200)

@@ -43,7 +43,7 @@ def _dataset():
     (THINKER, "a7d110ae4bee5be176d1417706e0f99725d76af54831dabc46962bd92e8ec96e"),
     (THINKER_FAST, "0a464e4eeddc3c9ee50af44e5f41a876fe4d067715ba0339e6881e1d4bd27c75"),
     (SINGLE_TURN, "464248414cf6098a24d7a6cb0553a5782e2b300f0ee73db31e9f8e7019d71ec0"),
-])
+], ids=[THINKER, THINKER_FAST, SINGLE_TURN])  # names that a re-pinned digest leaves alone
 def test_eval_report_bytes(mode, digest):
     report = evaluate(ScriptedPolicyBackend(POLICY), _dataset(), mode, k=3, seed=11)
     assert _sha(json.dumps(report.to_dict(), sort_keys=True).encode("utf-8")) == digest
@@ -69,7 +69,7 @@ def test_training_batch_bytes(tmp_path):
     # slow exactly at its budget, so summaries run and are clipped inside the filler
     (StageBudgets(fast_tokens=117, verify_tokens=40, slow_tokens=400, summary_tokens=200),
      "fa2ce356e0e13b2724ca042a3f1de9e1c55afa055e6aee109b781eadde7fbb6f"),
-])
+], ids=["slow-clipped", "slow-at-budget"])
 def test_clipped_training_batch_bytes(tmp_path, budgets, digest):
     batch = run_batch(ScriptedPolicyBackend(POLICY), list(_dataset()), Mode.TRAINING,
                       seed=5, samples_per_prompt=4, budgets=budgets)
@@ -82,7 +82,7 @@ def test_clipped_training_batch_bytes(tmp_path, budgets, digest):
 @pytest.mark.parametrize("gamma,lam,digest", [
     (1.0, 1.0, "4a6438c500bf67480e6a59b8711cbdb6a85f1359706fde6074660db8345dc951"),
     (0.99, 0.95, "2815169a3565faef440171863f21ece4c131b4ccc57ba4ed694d05bc4420478d"),
-])
+], ids=["gamma1-lam1", "gamma0.99-lam0.95"])
 def test_training_batch_advantages_bits(gamma, lam, digest):
     # default policy and budgets: episodes of about 550 tokens, past what the
     # quadratic oracle in test_rollout.py covers quickly
